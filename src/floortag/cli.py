@@ -20,7 +20,7 @@ from .geometry import (
 )
 from .identify import ReferenceBank, estimate_view, identify_sticker
 from .imaging import load_pgm, save_pgm
-from .pipeline import TrackerState, process_frame, process_sequence
+from .pipeline import OUTCOME_ERROR, process_sequence
 from .simulate import RenderConfig, render, save_truth
 from .warehouse import generate_grid_map, load_map, save_map
 
@@ -90,14 +90,23 @@ def _load_bank(args, wmap, intr) -> ReferenceBank:
     return ReferenceBank.build(wmap, intr)
 
 
+def _print_results(results) -> int:
+    """One JSON line per result; exit code 1 when any frame ended in an error."""
+    code = 0
+    for result in results:
+        sys.stdout.write(json.dumps(result.to_json_dict()) + "\n")
+        sys.stdout.flush()
+        if result.outcome == OUTCOME_ERROR:
+            code = 1
+    return code
+
+
 def _cmd_localize(args) -> int:
     wmap = load_map(args.map)
     intr = _intrinsics_from_args(args)
     bank = _load_bank(args, wmap, intr)
     img = load_pgm(args.image)
-    result, _ = process_frame(img, wmap, intr, bank, TrackerState(), frame_id=0, timestamp=0.0)
-    sys.stdout.write(json.dumps(result.to_json_dict()) + "\n")
-    return 0
+    return _print_results(process_sequence([img], wmap, intr, bank))
 
 
 def _cmd_localize_stream(args) -> int:
@@ -109,10 +118,7 @@ def _cmd_localize_stream(args) -> int:
         print(f"no .pgm frames found in {args.dir}", file=sys.stderr)
         return 1
     frames = (load_pgm(p) for p in paths)
-    for result in process_sequence(frames, wmap, intr, bank, fps=args.fps):
-        sys.stdout.write(json.dumps(result.to_json_dict()) + "\n")
-        sys.stdout.flush()
-    return 0
+    return _print_results(process_sequence(frames, wmap, intr, bank, fps=args.fps))
 
 
 def _cmd_identify(args) -> int:

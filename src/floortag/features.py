@@ -1,9 +1,31 @@
 """Oriented FAST corners, 256-bit rotated binary descriptors, Hamming matching.
 
-Detection is FAST-9 with non-maximal suppression and Harris re-ranking;
-orientation comes from the intensity centroid of a radius-15 disc; descriptor
-bits compare smoothed intensities over a fixed random test pattern rotated to
-the keypoint angle. All heavy paths are vectorised.
+Detection follows ORB: FAST-9 corners with 3x3 non-maximal suppression,
+Harris re-ranking, an intensity-centroid orientation over a radius-15 disc,
+and descriptor bits that compare smoothed intensities over a fixed random
+test pattern rotated to the keypoint angle.
+
+Detection costs what is textured, not what is in the frame:
+
+- FAST first tests every pixel on its 4 compass points of the radius-3
+  circle (12, 3, 6 and 9 o'clock). Any 9-arc of the circle holds two
+  adjacent compass points, so a corner has some adjacent pair that is both
+  brighter than floor(threshold) or both darker than -floor(threshold). For
+  integer pixels this test is exact, so it drops no corner. The full
+  16-pixel ring, the 9-arc test and the score run only on the pixels that
+  pass, under 1% of a mostly blank frame.
+- The Harris response and the smoothed image for the descriptors are
+  computed only on bands of rows around the keypoints, and each band spans
+  the full image width. scipy's box filter keeps a running sum along each
+  line. Its first pass runs down the columns over integers (pixels and
+  products of Sobel responses), where that sum is exact whatever row a band
+  starts on. Its second pass runs along the rows over rounded values, where
+  the result depends on the column the line starts from. Full-width bands
+  therefore reproduce the full-frame values bit for bit, and with them the
+  order of tied Harris responses.
+
+Keypoints and descriptors equal those of the plain full-frame computation,
+which the tests keep as their reference.
 """
 
 from __future__ import annotations
@@ -124,32 +146,50 @@ class MatchSet:
         return [p[1] for p in self.pairs]
 
 
-def _fast_candidates(px: np.ndarray, threshold: float):
-    h, w = px.shape
+def _fast_candidates(pixels: np.ndarray, threshold: float):
+    """FAST-9 corners after 3x3 non-maximal suppression.
+
+    Returns (x, y) points in row-major order and their float32 scores.
+    """
+    h, w = pixels.shape
+    px = pixels.astype(np.int16)
     core = px[3 : h - 3, 3 : w - 3]
-    bright_bits = np.zeros(core.shape, dtype=np.uint16)
-    dark_bits = np.zeros(core.shape, dtype=np.uint16)
-    diffs = np.empty((16,) + core.shape, dtype=np.float32)
-    for i, (dy, dx) in enumerate(_CIRCLE):
-        shifted = px[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx]
-        d = shifted - core
-        diffs[i] = d
-        bright_bits |= (d > threshold).astype(np.uint16) << i
-        dark_bits |= (d < -threshold).astype(np.uint16) << i
+    # For integer differences, d > t <=> d > floor(t); they lie in [-255, 255].
+    step = int(np.clip(np.floor(threshold), -256, 256))
+    north, east, south, west = (
+        px[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx] for dy, dx in _CIRCLE[::4]
+    )
+    hi = core + step
+    lo = core - step
+    maybe = ((north > hi) | (south > hi)) & ((east > hi) | (west > hi))
+    maybe |= ((north < lo) | (south < lo)) & ((east < lo) | (west < lo))
+    ys, xs = np.nonzero(maybe)
+    ys += 3
+    xs += 3
+    centre = px[ys, xs]
+    d = np.stack([px[ys + dy, xs + dx] - centre for dy, dx in _CIRCLE]).astype(np.float64)
+    bright_bits = np.zeros(len(ys), dtype=np.uint16)
+    dark_bits = np.zeros(len(ys), dtype=np.uint16)
+    for i in range(16):
+        bright_bits |= (d[i] > threshold).astype(np.uint16) << i
+        dark_bits |= (d[i] < -threshold).astype(np.uint16) << i
     is_corner = _RUN9[bright_bits] | _RUN9[dark_bits]
-    if not is_corner.any():
-        return np.empty((0, 2), dtype=np.int64), np.zeros(0)
-    excess = np.abs(diffs) - threshold
+    ys, xs = ys[is_corner], xs[is_corner]
+    excess = np.abs(d[:, is_corner].astype(np.float32)) - threshold
     np.clip(excess, 0.0, None, out=excess)
     score = excess.sum(axis=0)
-    score[~is_corner] = 0.0
-    local_max = score >= ndimage.maximum_filter(score, size=3, mode="constant")
-    keep = is_corner & local_max & (score > 0)
-    ys, xs = np.nonzero(keep)
-    return np.column_stack([xs + 3, ys + 3]), score[ys, xs]
+    # Every pixel that is not a corner scores 0, so a corner is a local maximum
+    # when no corner among its 8 neighbours scores higher.
+    grid = np.zeros((h, w), dtype=score.dtype)
+    grid[ys, xs] = score
+    keep = score > 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            keep &= score >= grid[ys + dy, xs + dx]
+    return np.column_stack([xs[keep], ys[keep]]), score[keep]
 
 
-def _harris_response(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _harris_map(px: np.ndarray) -> np.ndarray:
     gx = ndimage.sobel(px, axis=1, mode="nearest")
     gy = ndimage.sobel(px, axis=0, mode="nearest")
     win = 7
@@ -158,8 +198,35 @@ def _harris_response(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     ixy = ndimage.uniform_filter(gx * gy, win, mode="nearest")
     det = ixx * iyy - ixy * ixy
     trace = ixx + iyy
-    response = det - 0.04 * trace * trace
-    return response[ys, xs]
+    return det - 0.04 * trace * trace
+
+
+def _smooth_map(px: np.ndarray) -> np.ndarray:
+    return ndimage.uniform_filter(px, 5, mode="nearest")
+
+
+def _row_bands(ys: np.ndarray, reach: int, height: int) -> list[tuple[int, int]]:
+    """Merged [start, stop) row ranges that cover every row in ys +- reach."""
+    rows = np.unique(ys)
+    starts = np.maximum(rows - reach, 0)
+    stops = np.minimum(rows + reach + 1, height)
+    breaks = np.nonzero(starts[1:] > stops[:-1])[0] + 1
+    return list(zip(starts[np.r_[0, breaks]].tolist(), stops[np.r_[breaks - 1, -1]].tolist()))
+
+
+def _banded(filt, px: np.ndarray, ys: np.ndarray, reach: int, halo: int) -> np.ndarray:
+    """filt(px) on every row within reach of ys; the other rows hold zeros.
+
+    filt runs on full-width bands of rows, extended by the halo of rows its
+    kernel reads on each side, and the halo rows of a band are discarded.
+    """
+    h = px.shape[0]
+    out = np.zeros_like(px)
+    for start, stop in _row_bands(ys, reach + halo, h):
+        lo = start if start == 0 else start + halo
+        hi = stop if stop == h else stop - halo
+        out[lo:hi] = filt(px[start:stop])[lo - start : hi - start]
+    return out
 
 
 def _orientations(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -181,11 +248,20 @@ def _describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
     return np.packbits(bits, axis=1)
 
 
-def _detect_level(px: np.ndarray, max_features: int, threshold: float):
-    h, w = px.shape
-    pts, scores = _fast_candidates(px, threshold)
-    if len(pts) == 0:
-        return [], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8)
+def detect_and_describe(
+    img: GreyImage,
+    max_features: int = 1000,
+    threshold: float = 20.0,
+) -> FeatureSet:
+    """Detect oriented corners and describe them.
+
+    Keeps the max_features FAST corners with the highest Harris response and
+    returns them strongest FAST score first.
+    """
+    if img.width < 32 or img.height < 32:
+        raise ValueError("image too small for feature detection (min 32x32)")
+    h, w = img.height, img.width
+    pts, scores = _fast_candidates(img.pixels, threshold)
     inside = (
         (pts[:, 0] >= MARGIN)
         & (pts[:, 0] < w - MARGIN)
@@ -194,51 +270,23 @@ def _detect_level(px: np.ndarray, max_features: int, threshold: float):
     )
     pts, scores = pts[inside], scores[inside]
     if len(pts) == 0:
-        return [], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8)
+        return FeatureSet([], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
+    px = img.to_float()
     xs, ys = pts[:, 0], pts[:, 1]
-    harris = _harris_response(px, xs, ys)
+    # Sobel reads 1 row on each side and the 7x7 window 3 more.
+    harris = _banded(_harris_map, px, ys, 0, 4)[ys, xs]
     order = np.argsort(-harris, kind="stable")[:max_features]
     xs, ys, scores = xs[order], ys[order], scores[order]
     angles = _orientations(px, xs, ys)
-    smooth = ndimage.uniform_filter(px, 5, mode="nearest")
+    # Rotated tests reach 13 rows from a keypoint; the 5x5 box reads 2 more.
+    smooth = _banded(_smooth_map, px, ys, 13, 2)
     descriptors = _describe(smooth, xs, ys, angles)
+    order = np.argsort(-scores, kind="stable")
     kps = [
-        Keypoint(float(x), float(y), float(r), float(a))
-        for x, y, r, a in zip(xs, ys, scores, angles)
+        Keypoint(float(xs[i]), float(ys[i]), float(scores[i]), float(angles[i]))
+        for i in order
     ]
-    return kps, descriptors
-
-
-def detect_and_describe(
-    img: GreyImage,
-    max_features: int = 1000,
-    threshold: float = 20.0,
-    levels: int = 1,
-    scale_factor: float = 1.5,
-) -> FeatureSet:
-    """Detect oriented corners and describe them; multi-scale when levels > 1."""
-    if img.width < 32 or img.height < 32:
-        raise ValueError("image too small for feature detection (min 32x32)")
-    px = img.to_float()
-    all_kps: list[Keypoint] = []
-    all_desc = []
-    for lvl in range(levels):
-        factor = scale_factor**lvl
-        if lvl == 0:
-            level_px = px
-        else:
-            level_px = ndimage.zoom(px, 1.0 / factor, order=1, mode="nearest")
-            if min(level_px.shape) < 2 * MARGIN + 1:
-                break
-        kps, desc = _detect_level(level_px, max_features, threshold)
-        for k in kps:
-            all_kps.append(Keypoint(k.x * factor, k.y * factor, k.response, k.angle))
-        all_desc.append(desc)
-    descriptors = (
-        np.vstack(all_desc) if all_desc else np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8)
-    )
-    order = np.argsort([-k.response for k in all_kps], kind="stable")[:max_features]
-    return FeatureSet([all_kps[i] for i in order], descriptors[order])
+    return FeatureSet(kps, descriptors[order])
 
 
 def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ from .imaging import (
 OUTCOME_LOCALISED = "localised"
 OUTCOME_DETECTED_UNREAD = "detected_unread"
 OUTCOME_NO_STICKER = "no_sticker"
+OUTCOME_ERROR = "error"  # processing raised; `error` holds the exception text
 
 METHOD_DECODED = "decoded"
 METHOD_IDENTIFIED = "identified"
@@ -93,6 +95,7 @@ class LocalisationResult:
     sticker_id: int | None = None
     method: str | None = None
     timings_ms: dict[str, float] = field(default_factory=dict)
+    error: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,6 +114,7 @@ class LocalisationResult:
             "sticker_id": self.sticker_id,
             "method": self.method,
             "timings_ms": {k: round(v, 3) for k, v in self.timings_ms.items()},
+            "error": self.error,
         }
 
 
@@ -332,8 +336,8 @@ def process_sequence(
 ):
     """Process time-ordered frames, threading the tracker state; yields one result each.
 
-    Frame-level failures are reported on stderr and mapped to no_sticker so the
-    stream continues.
+    A frame whose processing raises yields an `error` result carrying the
+    exception text, its traceback goes to stderr, and the stream continues.
     """
     for index, img in enumerate(frames):
         timestamp = index / fps
@@ -342,7 +346,8 @@ def process_sequence(
                 img, warehouse_map, intr, bank, state,
                 config=config, frame_id=index, timestamp=timestamp,
             )
-        except Exception as exc:  # pragma: no cover - defensive path
-            print(f"frame {index}: {exc!r}", file=sys.stderr)
-            result = LocalisationResult(index, OUTCOME_NO_STICKER)
+        except Exception as exc:
+            print(f"frame {index}:", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            result = LocalisationResult(index, OUTCOME_ERROR, error=f"{type(exc).__name__}: {exc}")
         yield result

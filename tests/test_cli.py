@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from floortag import pipeline
 from floortag.cli import main
 from floortag.imaging import GreyImage, load_pgm, save_pgm
 
@@ -81,6 +82,26 @@ def test_localize_blank_is_no_sticker(tmp_path, capsys):
     ])
     assert code == 0
     assert json.loads(out)["outcome"] == "no_sticker"
+
+
+def test_localize_reports_a_failing_frame_as_error(tmp_path, capsys, monkeypatch):
+    map_path = tmp_path / "map.csv"
+    run(capsys, ["gen-map", "--rows", "1", "--cols", "1", "--pitch", "1.0", "--out", str(map_path)])
+    blank = tmp_path / "blank.pgm"
+    save_pgm(GreyImage(np.full((486, 648), 120, dtype=np.uint8)), blank)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("detector exploded")
+
+    monkeypatch.setattr(pipeline, "process_frame", fail)
+    code, out, err = run(capsys, [
+        "localize", "--map", str(map_path), "--image", str(blank), "--binning", "4",
+    ])
+    assert code == 1
+    record = json.loads(out)
+    assert record["outcome"] == "error"
+    assert record["error"] == "RuntimeError: detector exploded"
+    assert "RuntimeError: detector exploded" in err
 
 
 def test_localize_stream(tmp_path, capsys):

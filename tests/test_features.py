@@ -1,10 +1,20 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
+from floortag import artwork, features
 from floortag.artwork import render_sticker
+from floortag.bench import sample_camera_pose
 from floortag.features import (
     ABSENT,
+    DESCRIPTOR_BYTES,
     DETECTED,
+    MARGIN,
     UNCERTAIN,
     FeatureSet,
     Keypoint,
@@ -17,7 +27,177 @@ from floortag.features import (
     save_descriptors,
     sticker_present,
 )
+from floortag.geometry import CameraIntrinsics, camera_world_position
+from floortag.identify import (
+    DEFAULT_DETECTION_FEATURES,
+    DEFAULT_FEATURES_PER_REF,
+    REFERENCE_THRESHOLD,
+    reference_sizes,
+)
 from floortag.imaging import GreyImage
+from floortag.simulate import RenderConfig, exposure_for_blur_px, render
+from floortag.warehouse import generate_grid_map
+
+INTR = CameraIntrinsics.reference_camera(binning=2)
+
+
+# Reference detector: the plain full-frame computation. detect_and_describe
+# must reproduce its keypoints and descriptors bit for bit.
+def oracle_fast_candidates(px: np.ndarray, threshold: float):
+    h, w = px.shape
+    core = px[3 : h - 3, 3 : w - 3]
+    bright_bits = np.zeros(core.shape, dtype=np.uint16)
+    dark_bits = np.zeros(core.shape, dtype=np.uint16)
+    diffs = np.empty((16,) + core.shape, dtype=np.float32)
+    for i, (dy, dx) in enumerate(features._CIRCLE):
+        shifted = px[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx]
+        d = shifted - core
+        diffs[i] = d
+        bright_bits |= (d > threshold).astype(np.uint16) << i
+        dark_bits |= (d < -threshold).astype(np.uint16) << i
+    is_corner = features._RUN9[bright_bits] | features._RUN9[dark_bits]
+    if not is_corner.any():
+        return np.empty((0, 2), dtype=np.int64), np.zeros(0)
+    excess = np.abs(diffs) - threshold
+    np.clip(excess, 0.0, None, out=excess)
+    score = excess.sum(axis=0)
+    score[~is_corner] = 0.0
+    local_max = score >= ndimage.maximum_filter(score, size=3, mode="constant")
+    keep = is_corner & local_max & (score > 0)
+    ys, xs = np.nonzero(keep)
+    return np.column_stack([xs + 3, ys + 3]), score[ys, xs]
+
+
+def oracle_harris_response(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    gx = ndimage.sobel(px, axis=1, mode="nearest")
+    gy = ndimage.sobel(px, axis=0, mode="nearest")
+    win = 7
+    ixx = ndimage.uniform_filter(gx * gx, win, mode="nearest")
+    iyy = ndimage.uniform_filter(gy * gy, win, mode="nearest")
+    ixy = ndimage.uniform_filter(gx * gy, win, mode="nearest")
+    det = ixx * iyy - ixy * ixy
+    trace = ixx + iyy
+    response = det - 0.04 * trace * trace
+    return response[ys, xs]
+
+
+def oracle_candidates(img: GreyImage, threshold: float):
+    """FAST points inside the margin, their scores and Harris responses."""
+    px = img.to_float()
+    h, w = px.shape
+    pts, scores = oracle_fast_candidates(px, threshold)
+    inside = (
+        (pts[:, 0] >= MARGIN)
+        & (pts[:, 0] < w - MARGIN)
+        & (pts[:, 1] >= MARGIN)
+        & (pts[:, 1] < h - MARGIN)
+    )
+    pts, scores = pts[inside], scores[inside]
+    return pts, scores, oracle_harris_response(px, pts[:, 0], pts[:, 1])
+
+
+def oracle_detect(img: GreyImage, max_features: int, threshold: float) -> FeatureSet:
+    pts, scores, harris = oracle_candidates(img, threshold)
+    if len(pts) == 0:
+        return FeatureSet([], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
+    px = img.to_float()
+    order = np.argsort(-harris, kind="stable")[:max_features]
+    xs, ys, scores = pts[order, 0], pts[order, 1], scores[order]
+    angles = features._orientations(px, xs, ys)
+    smooth = ndimage.uniform_filter(px, 5, mode="nearest")
+    descriptors = features._describe(smooth, xs, ys, angles)
+    kps = [
+        Keypoint(float(x), float(y), float(r), float(a))
+        for x, y, r, a in zip(xs, ys, scores, angles)
+    ]
+    order = np.argsort([-k.response for k in kps], kind="stable")
+    return FeatureSet([kps[i] for i in order], descriptors[order])
+
+
+def assert_matches_oracle(img: GreyImage, max_features: int, threshold: float) -> FeatureSet:
+    got = detect_and_describe(img, max_features=max_features, threshold=threshold)
+    want = oracle_detect(img, max_features, threshold)
+    assert [astuple(k) for k in got.keypoints] == [astuple(k) for k in want.keypoints]
+    assert np.array_equal(got.descriptors, want.descriptors)
+    return got
+
+
+@pytest.fixture(scope="module")
+def scene_renders():
+    """A sharp and a 10 px-smeared frame of a 3x3 map, seeded."""
+    wmap = generate_grid_map(3, 3, 1.0)
+    target = wmap.get(4)
+    pose = sample_camera_pose(np.random.default_rng(11), (target.world_x, target.world_y))
+    height = float(camera_world_position(pose)[2])
+    sharp, _ = render(wmap, INTR, pose, RenderConfig(seed=11))
+    smeared, _ = render(wmap, INTR, pose, RenderConfig(
+        seed=12, exposure_reciprocal=exposure_for_blur_px(INTR, height, 1.0, 10.0),
+        velocity=1.0, heading=0.7))
+    return {"sharp": sharp, "smeared": smeared}
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smeared"])
+@pytest.mark.parametrize("threshold", [8.0, 20.0])
+@pytest.mark.parametrize("max_features", [2500, 1000])
+def test_frame_features_match_oracle(scene_renders, kind, threshold, max_features):
+    feats = assert_matches_oracle(scene_renders[kind], max_features, threshold)
+    assert len(feats) > 50
+
+
+def test_reference_artwork_features_match_oracle():
+    # Clean artwork is where Harris responses tie and the per-size cap bites,
+    # so the order among tied candidates decides which keypoints are kept.
+    sizes = reference_sizes(INTR)
+    grids = {
+        "detection": (artwork.sticker_cells_from_payloads(
+            list(artwork.detection_reference_payloads(0))), DEFAULT_DETECTION_FEATURES),
+        "sticker": (artwork.sticker_cells(5), DEFAULT_FEATURES_PER_REF),
+    }
+    capped_with_ties = 0
+    for cells, total in grids.values():
+        for size in sizes:
+            img = artwork.render_cells(cells, size)
+            per_size = total // len(sizes)
+            assert_matches_oracle(img, per_size, REFERENCE_THRESHOLD)
+            harris = oracle_candidates(img, REFERENCE_THRESHOLD)[2]
+            ties = len(harris) - len(np.unique(harris))
+            capped_with_ties += len(harris) > per_size and ties > 0
+    assert capped_with_ties > 0
+
+
+def test_blank_frame_matches_oracle():
+    img = GreyImage(np.full((INTR.height, INTR.width), 120, dtype=np.uint8))
+    assert len(assert_matches_oracle(img, 1000, 20.0)) == 0
+
+
+def test_corners_at_the_frame_edge_match_oracle():
+    # Squares whose corners sit 3 px from the edge: the outermost pixels FAST
+    # tests, where non-maximal suppression meets the border.
+    px = np.full((32, 32), 40, dtype=np.uint8)
+    px[3:12, 3:12] = 220
+    px[20:29, 20:29] = 220
+    pts, scores = features._fast_candidates(px, 20.0)
+    want_pts, want_scores = oracle_fast_candidates(px.astype(np.float64), 20.0)
+    assert np.array_equal(pts, want_pts) and np.array_equal(scores, want_scores)
+    assert {3, 28} <= set(pts.ravel().tolist())
+    assert_matches_oracle(GreyImage(px), 1000, 20.0)
+
+
+# Grey levels around 100 at the threshold boundaries, mixed with any level.
+_LEVELS = st.sampled_from([100 + d for d in (0, 7, 8, 9, 20, 21, -7, -8, -9, -20, -21)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    px=arrays(np.uint8, st.tuples(st.integers(7, 24), st.integers(7, 24)),
+              elements=st.one_of(_LEVELS, st.integers(0, 255))),
+    threshold=st.sampled_from([0.0, 7.5, 8.0, 20.0]),
+)
+def test_fast_candidates_match_oracle(px, threshold):
+    pts, scores = features._fast_candidates(px, threshold)
+    want_pts, want_scores = oracle_fast_candidates(px.astype(np.float64), threshold)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(scores, want_scores)
 
 
 def test_uniform_image_has_no_keypoints():
@@ -185,13 +365,6 @@ def test_descriptor_file_rejects_garbage(tmp_path):
     path.write_bytes(b"ODSC" + np.uint32(5).tobytes() + bytes(10))
     with pytest.raises(ValueError, match="truncated"):
         load_descriptors(path)
-
-
-def test_pyramid_levels_add_scaled_keypoints():
-    img = render_sticker(1, 360)
-    flat = detect_and_describe(img, max_features=2000, threshold=15.0, levels=1)
-    pyr = detect_and_describe(img, max_features=2000, threshold=15.0, levels=3)
-    assert len(pyr) > len(flat) * 1.1
 
 
 def test_feature_set_validates_lengths():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from floortag.geometry import CameraIntrinsics, downward_camera_pose
+from floortag import pipeline
 from floortag.identify import ReferenceBank
 from floortag.imaging import GreyImage
 from floortag.pipeline import (
     OUTCOME_DETECTED_UNREAD,
+    OUTCOME_ERROR,
     OUTCOME_LOCALISED,
     OUTCOME_NO_STICKER,
     PipelineConfig,
@@ -100,6 +102,19 @@ def test_sequence_of_blanks(wmap, bank):
     assert [r.frame_id for r in results] == [0, 1, 2]
 
 
+def test_sequence_failure_is_an_error_not_no_sticker(wmap, bank, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("detector exploded")
+
+    monkeypatch.setattr(pipeline, "process_frame", fail)
+    results = list(process_sequence([blank_frame(0), blank_frame(1)], wmap, INTR, bank))
+    assert [r.outcome for r in results] == [OUTCOME_ERROR, OUTCOME_ERROR]
+    assert [r.frame_id for r in results] == [0, 1]
+    assert all(r.error == "RuntimeError: detector exploded" for r in results)
+    assert results[0].to_json_dict()["error"] == "RuntimeError: detector exploded"
+    assert "detector exploded" in capsys.readouterr().err
+
+
 def test_sequence_deterministic(wmap, bank):
     target = wmap.get(1)
     frames = []
@@ -148,7 +163,8 @@ def test_result_json_shape(wmap, bank):
     d = result.to_json_dict()
     assert set(d) == {
         "frame", "outcome", "position", "operator_position", "pose",
-        "sticker_id", "method", "timings_ms",
+        "sticker_id", "method", "timings_ms", "error",
     }
     assert d["outcome"] == OUTCOME_NO_STICKER
+    assert d["error"] is None
     assert d["position"] is None
