@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import artwork, blur
+from . import artwork, blur, features
 from .bench import run_benchmark
 from .geometry import (
     DOWNWARD_BASE,
@@ -20,7 +20,7 @@ from .geometry import (
 )
 from .identify import ReferenceBank, estimate_view, identify_sticker
 from .imaging import load_pgm, save_pgm
-from .pipeline import OUTCOME_ERROR, process_sequence
+from .pipeline import OUTCOME_ERROR, PipelineConfig, extract_corners, process_sequence
 from .simulate import RenderConfig, render, save_truth
 from .warehouse import generate_grid_map, load_map, save_map
 
@@ -84,12 +84,6 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _load_bank(args, wmap, intr) -> ReferenceBank:
-    if getattr(args, "refs", None):
-        return ReferenceBank.load(args.refs, wmap, intr)
-    return ReferenceBank.build(wmap, intr)
-
-
 def _print_results(results) -> int:
     """One JSON line per result; exit code 1 when any frame ended in an error."""
     code = 0
@@ -104,7 +98,7 @@ def _print_results(results) -> int:
 def _cmd_localize(args) -> int:
     wmap = load_map(args.map)
     intr = _intrinsics_from_args(args)
-    bank = _load_bank(args, wmap, intr)
+    bank = ReferenceBank.build(wmap, intr)
     img = load_pgm(args.image)
     return _print_results(process_sequence([img], wmap, intr, bank))
 
@@ -112,7 +106,7 @@ def _cmd_localize(args) -> int:
 def _cmd_localize_stream(args) -> int:
     wmap = load_map(args.map)
     intr = _intrinsics_from_args(args)
-    bank = _load_bank(args, wmap, intr)
+    bank = ReferenceBank.build(wmap, intr)
     paths = sorted(Path(args.dir).glob("*.pgm"))
     if not paths:
         print(f"no .pgm frames found in {args.dir}", file=sys.stderr)
@@ -124,29 +118,24 @@ def _cmd_localize_stream(args) -> int:
 def _cmd_identify(args) -> int:
     wmap = load_map(args.map)
     intr = _intrinsics_from_args(args)
-    bank = _load_bank(args, wmap, intr)
+    bank = ReferenceBank.build(wmap, intr)
     img = load_pgm(args.image)
     candidates = (
         [int(v) for v in args.candidates.split(",")] if args.candidates else wmap.ids
     )
-    from . import features
-    from .imaging import MeanOffset, NotAQuadError, binarize, extract_quad_corners, trace_contours
-
-    feats = features.detect_and_describe(img, max_features=10000, threshold=8.0)
-    quad = None
-    binary = binarize(img, MeanOffset(31, 10))
-    for contour in trace_contours(binary)[:3]:
-        if contour.area() < 400:
-            break
-        try:
-            quad = extract_quad_corners(contour, img).corners
-            break
-        except NotAQuadError:
-            continue
-    view = None
-    if quad is not None and candidates:
-        view = estimate_view(img, feats, quad, wmap.get(candidates[0]).payloads)
-    result = identify_sticker(feats, bank, candidates, view=view)
+    cfg = PipelineConfig()
+    corners = extract_corners(img, cfg.min_contour_area)
+    if corners is None:
+        print("error: no sticker outline found", file=sys.stderr)
+        return 1
+    feats = features.detect_and_describe(
+        img, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
+    )
+    view = estimate_view(img, feats, corners.corners, wmap.get(candidates[0]).payloads)
+    result = identify_sticker(
+        feats, bank, candidates, view, max_distance=cfg.identify_max_distance,
+        accept_min=cfg.accept_min, margin_ratio=cfg.margin_ratio,
+    )
     payload = {
         "sticker_id": result.sticker_id,
         "score": result.score,
@@ -166,15 +155,6 @@ def _cmd_blur_check(args) -> int:
         params = blur.BlurParams(args.focal, args.distance, args.velocity, args.shutter, args.pixel_pitch)
         verdict = "sharp" if blur.is_sharp(params) else "blurred"
         print(f"verdict {verdict}")
-    return 0
-
-
-def _cmd_build_refs(args) -> int:
-    wmap = load_map(args.map)
-    intr = _intrinsics_from_args(args)
-    bank = ReferenceBank.build(wmap, intr, features_per_ref=args.features)
-    bank.save(args.out_dir)
-    print(f"wrote {len(bank.entries)} reference files to {args.out_dir}", file=sys.stderr)
     return 0
 
 
@@ -232,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="localise a single PGM frame, print one JSON line")
     p.add_argument("--map", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--refs", help="directory of prebuilt ref_<id>.odsc files")
     _add_intrinsics_args(p)
     p.set_defaults(func=_cmd_localize)
 
@@ -240,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--dir", required=True)
     p.add_argument("--fps", type=float, default=10.0)
-    p.add_argument("--refs")
     _add_intrinsics_args(p)
     p.set_defaults(func=_cmd_localize_stream)
 
@@ -248,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--candidates", help="comma-separated sticker ids (default: all)")
-    p.add_argument("--refs")
     _add_intrinsics_args(p)
     p.set_defaults(func=_cmd_identify)
 
@@ -259,13 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pixel-pitch", type=float, required=True, help="pixel pitch, m")
     p.add_argument("--shutter", type=float, help="exposure reciprocal to check, 1/s")
     p.set_defaults(func=_cmd_blur_check)
-
-    p = sub.add_parser("build-refs", help="precompute reference descriptor files")
-    p.add_argument("--map", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--features", type=int, default=500)
-    _add_intrinsics_args(p)
-    p.set_defaults(func=_cmd_build_refs)
 
     p = sub.add_parser("bench", help="seeded synthetic localisation benchmark")
     p.add_argument("--trials", type=int, default=200)

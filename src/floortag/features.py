@@ -352,34 +352,3 @@ def calibrate_thresholds(
     mid = (lo + hi) // 2
     return (max(lo + 1, min(mid, hi - 1)), mid)
 
-
-ODSC_MAGIC = b"ODSC"
-
-
-def save_descriptors(feats: FeatureSet, path) -> None:
-    """Binary descriptor file: magic, count, then x/y/angle float32 + 32 bytes each."""
-    with open(path, "wb") as fh:
-        fh.write(ODSC_MAGIC)
-        fh.write(np.uint32(len(feats)).tobytes())
-        for kp, desc in feats:
-            fh.write(np.array([kp.x, kp.y, kp.angle], dtype="<f4").tobytes())
-            fh.write(desc.tobytes())
-
-
-def load_descriptors(path) -> FeatureSet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != ODSC_MAGIC:
-        raise ValueError(f"{path}: not a descriptor set file")
-    count = int(np.frombuffer(raw[4:8], dtype="<u4")[0])
-    record = 12 + DESCRIPTOR_BYTES
-    if len(raw) < 8 + count * record:
-        raise ValueError(f"{path}: truncated descriptor set")
-    kps = []
-    descs = np.empty((count, DESCRIPTOR_BYTES), dtype=np.uint8)
-    for i in range(count):
-        off = 8 + i * record
-        x, y, angle = np.frombuffer(raw[off : off + 12], dtype="<f4")
-        descs[i] = np.frombuffer(raw[off + 12 : off + record], dtype=np.uint8)
-        kps.append(Keypoint(float(x), float(y), 0.0, float(angle)))
-    return FeatureSet(kps, descs)

@@ -1,32 +1,30 @@
-"""Decode-free sticker identification by reference feature matching.
+"""Decode-free sticker identification by view-conditioned feature matching.
 
-Each candidate sticker is scored by the number of descriptor matches between
-its reference and the scene; the winner must clear an absolute score floor and
-a margin over the runner-up. References come from the off-line bank for sharp
-scenes; when a view context (quad and motion-blur estimate) is available the
-bank renders view-conditioned references so heavy blur does not wash out the
-payload texture that separates candidates.
+Each candidate sticker is drawn into the observed view (the quad where the
+sticker sits, its orientation and its motion-smear estimate) and scored by
+the number of descriptor matches between that rendering and the scene; the
+winner must clear an absolute score floor and a margin over the runner-up.
+Rendering into the view keeps heavy blur from washing out the payload texture
+that separates candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from . import artwork
-from .features import FeatureSet, detect_and_describe, load_descriptors, match, save_descriptors
+from .features import FeatureSet, detect_and_describe, match
 from .datamatrix import rectify_quad
 from .geometry import CameraIntrinsics, homography_dlt
 from .imaging import GreyImage, QuadCorners, bilinear_sample
 from .simulate import sticker_texture
-from .warehouse import StickerSpec, WarehouseMap
+from .warehouse import WarehouseMap
 
-DEFAULT_FEATURES_PER_REF = 500
-DEFAULT_DETECTION_FEATURES = 1200
-DEFAULT_SCENE_FEATURES = 10000
+VIEW_REFERENCE_FEATURES = 500
+DETECTION_FEATURES = 1200
 DEFAULT_ACCEPT_MIN = 80
 DEFAULT_MARGIN_RATIO = 1.25
 DEFAULT_MAX_DISTANCE = 48
@@ -81,83 +79,30 @@ def _multi_size_features(
     return FeatureSet(kps, merged)
 
 
-def build_reference(
-    sticker: StickerSpec,
-    features_per_ref: int = DEFAULT_FEATURES_PER_REF,
-    sizes=(320, 240, 180),
-) -> FeatureSet:
-    """Off-line descriptor set for one sticker, spread over the expected scales."""
-    return _multi_size_features(
-        artwork.sticker_cells_from_payloads(list(sticker.payloads)), sizes, features_per_ref
-    )
-
-
 class ReferenceBank:
-    """Off-line per-sticker references plus the generic detection reference."""
+    """The generic detection reference, and each candidate drawn into a view."""
 
-    def __init__(self, entries: dict[int, FeatureSet], detection: FeatureSet,
-                 warehouse_map: WarehouseMap, sizes: tuple[int, ...]):
-        self.entries = dict(entries)
+    def __init__(self, detection: FeatureSet, warehouse_map: WarehouseMap):
         self.detection = detection
         self.warehouse_map = warehouse_map
-        self.sizes = sizes
 
     @classmethod
-    def build(
-        cls,
-        warehouse_map: WarehouseMap,
-        intr: CameraIntrinsics,
-        features_per_ref: int = DEFAULT_FEATURES_PER_REF,
-        heights=DEFAULT_REFERENCE_HEIGHTS,
-        detection_seed: int = 0,
-        detection_features: int = DEFAULT_DETECTION_FEATURES,
-    ) -> "ReferenceBank":
-        sizes = reference_sizes(intr, heights)
-        entries = {
-            s.id: build_reference(s, features_per_ref, sizes) for s in warehouse_map
-        }
+    def build(cls, warehouse_map: WarehouseMap, intr: CameraIntrinsics) -> "ReferenceBank":
         detection_cells = artwork.sticker_cells_from_payloads(
-            list(artwork.detection_reference_payloads(detection_seed))
+            list(artwork.detection_reference_payloads(0))
         )
-        detection = _multi_size_features(detection_cells, sizes, detection_features)
-        return cls(entries, detection, warehouse_map, sizes)
-
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for sid, feats in self.entries.items():
-            save_descriptors(feats, directory / f"ref_{sid}.odsc")
-
-    @classmethod
-    def load(
-        cls, directory, warehouse_map: WarehouseMap, intr: CameraIntrinsics,
-        detection_seed: int = 0,
-        detection_features: int = DEFAULT_DETECTION_FEATURES,
-    ) -> "ReferenceBank":
-        directory = Path(directory)
-        sizes = reference_sizes(intr)
-        entries = {}
-        for s in warehouse_map:
-            path = directory / f"ref_{s.id}.odsc"
-            if not path.exists():
-                raise FileNotFoundError(f"missing reference file {path}")
-            entries[s.id] = load_descriptors(path)
-        detection_cells = artwork.sticker_cells_from_payloads(
-            list(artwork.detection_reference_payloads(detection_seed))
+        detection = _multi_size_features(
+            detection_cells, reference_sizes(intr), DETECTION_FEATURES
         )
-        detection = _multi_size_features(detection_cells, sizes, detection_features)
-        return cls(entries, detection, warehouse_map, sizes)
+        return cls(detection, warehouse_map)
 
-    def reference(self, sticker_id: int, view: ViewContext | None = None,
-                  features_per_ref: int = DEFAULT_FEATURES_PER_REF) -> FeatureSet:
-        """Canonical reference, or one rendered into the given view context."""
-        if view is None:
-            return self.entries[sticker_id]
+    def reference(self, sticker_id: int, view: ViewContext) -> FeatureSet:
+        """Features of the sticker rendered into the given view context."""
         synth = render_candidate_view(
             self.warehouse_map.get(sticker_id).payloads, view
         )
         return detect_and_describe(
-            synth, max_features=features_per_ref, threshold=REFERENCE_THRESHOLD
+            synth, max_features=VIEW_REFERENCE_FEATURES, threshold=REFERENCE_THRESHOLD
         )
 
 
@@ -272,17 +217,15 @@ def estimate_view(
 
 
 def identify_sticker(
-    scene: GreyImage | FeatureSet,
+    scene_feats: FeatureSet,
     bank: ReferenceBank,
     candidates,
-    scene_features: int = DEFAULT_SCENE_FEATURES,
+    view: ViewContext,
     max_distance: int = DEFAULT_MAX_DISTANCE,
     accept_min: int = DEFAULT_ACCEPT_MIN,
     margin_ratio: float = DEFAULT_MARGIN_RATIO,
-    view: ViewContext | None = None,
-    detect_threshold: float = REFERENCE_THRESHOLD,
 ) -> IdentificationResult:
-    """Best-matching candidate by reference match count.
+    """Best-matching candidate by the match count of its rendering into the view.
 
     Accepted only when the score clears accept_min and the margin over the
     runner-up; otherwise the result is carried as ambiguous with all scores.
@@ -290,19 +233,13 @@ def identify_sticker(
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list must not be empty")
-    if isinstance(scene, GreyImage):
-        feats = detect_and_describe(
-            scene, max_features=scene_features, threshold=detect_threshold
-        )
-    else:
-        feats = scene
     scores: dict[int, int] = {}
     for sid in sorted(set(int(c) for c in candidates)):
-        if len(feats) == 0:
+        if len(scene_feats) == 0:
             scores[sid] = 0
             continue
         ref = bank.reference(sid, view)
-        scores[sid] = len(match(ref, feats, max_distance)) if len(ref) else 0
+        scores[sid] = len(match(ref, scene_feats, max_distance)) if len(ref) else 0
     best_id = min(scores, key=lambda sid: (-scores[sid], sid))
     best = scores[best_id]
     rivals = [v for sid, v in scores.items() if sid != best_id]

@@ -59,10 +59,9 @@ class PipelineConfig:
     # Minimum ROI side, as a multiple of the projected sticker size at 1 m.
     roi_min_size_factor: float = 1.35
     min_contour_area: float = 400.0
-    decode_mode: str = "rectified"  # or "direct"
     candidate_radius_m: float = 3.0
     state_expiry_s: float = 5.0
-    identify_scene_features: int = identify.DEFAULT_SCENE_FEATURES
+    identify_scene_features: int = 10000
     identify_threshold: float = identify.REFERENCE_THRESHOLD
     identify_max_distance: int = identify.DEFAULT_MAX_DISTANCE
     accept_min: int = identify.DEFAULT_ACCEPT_MIN
@@ -136,7 +135,8 @@ class _StageClock:
         self._last = now
 
 
-def _extract_corners(crop: GreyImage, min_area: float) -> QuadCorners | None:
+def extract_corners(crop: GreyImage, min_area: float) -> QuadCorners | None:
+    """Corners of the first of the three largest outlines that is a quad, if any."""
     binary = binarize(crop, MeanOffset(31, 10))
     for contour in trace_contours(binary)[:3]:
         if contour.area() < min_area:
@@ -221,7 +221,7 @@ def process_frame(
         crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
         if crop.width < 40 or crop.height < 40:
             continue
-        corners = _extract_corners(crop, cfg.min_contour_area)
+        corners = extract_corners(crop, cfg.min_contour_area)
         contexts.append(_RoiContext(roi, crop, corners))
 
     # Decode pass: every ROI is tried before any identification fallback fires.
@@ -231,11 +231,7 @@ def process_frame(
     for ctx in contexts:
         if ctx.corners is None:
             continue
-        if cfg.decode_mode == "rectified":
-            reads = datamatrix.decode_roi_detail(ctx.crop, ctx.corners)
-        else:
-            reads = datamatrix.decode_roi_detail(ctx.crop, None)
-        for read in reads:
+        for read in datamatrix.decode_roi_detail(ctx.crop, ctx.corners):
             try:
                 sticker = warehouse.lookup_by_payload(warehouse_map, read.payload)
             except warehouse.UnknownPayloadError:

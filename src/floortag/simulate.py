@@ -209,23 +209,6 @@ def _blur_stack(
     return acc / len(offsets)
 
 
-def apply_motion_blur(
-    warehouse_map: WarehouseMap,
-    intr: CameraIntrinsics,
-    pose: Pose,
-    cfg: RenderConfig,
-) -> GreyImage:
-    """Average of sub-frame renders spanning the exposure travel V/N metres."""
-    _check_camera(intr, pose)
-    if cfg.velocity == 0 or cfg.exposure_reciprocal is None:
-        shade = _shade(intr, pose, warehouse_map, cfg.background)
-    else:
-        shade = _blur_stack(warehouse_map, intr, pose, cfg)
-    if cfg.optics_sigma > 0:
-        shade = ndimage.gaussian_filter(shade, cfg.optics_sigma, mode="nearest")
-    return GreyImage.from_float(shade)
-
-
 def blur_length_px(intr: CameraIntrinsics, distance_m: float, velocity: float,
                    exposure_reciprocal: float) -> float:
     """Projected blur streak length in pixels at a given scene distance."""

@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from floortag import pipeline
-from floortag.cli import main
+from floortag.cli import build_parser, main
 from floortag.imaging import GreyImage, load_pgm, save_pgm
 
 
@@ -130,15 +133,46 @@ def test_bench_deterministic(tmp_path, capsys):
     assert out1.startswith("metric,value")
 
 
-def test_build_refs_writes_files(tmp_path, capsys):
+def test_identify_names_the_sticker_under_the_camera(tmp_path, capsys):
     map_path = tmp_path / "map.csv"
-    run(capsys, ["gen-map", "--rows", "1", "--cols", "2", "--pitch", "1.0", "--out", str(map_path)])
-    refs = tmp_path / "refs"
+    run(capsys, ["gen-map", "--rows", "2", "--cols", "2", "--pitch", "1.0", "--out", str(map_path)])
+    frame = tmp_path / "frame.pgm"
     code, _, _ = run(capsys, [
-        "build-refs", "--map", str(map_path), "--out-dir", str(refs), "--binning", "2",
+        "render", "--map", str(map_path), "--pose", "1.02,0.98,0.8,0.05,0,0.7",
+        "--binning", "4", "--seed", "4", "--out", str(frame),
     ])
     assert code == 0
-    assert sorted(p.name for p in refs.glob("*.odsc")) == ["ref_1.odsc", "ref_2.odsc"]
+    code, out, _ = run(capsys, [
+        "identify", "--map", str(map_path), "--image", str(frame), "--binning", "4",
+        "--candidates", "3,4,2,1",
+    ])
+    assert code == 0
+    record = json.loads(out)
+    assert record["sticker_id"] == 4
+    assert record["accepted"] is True
+    assert sorted(record["scores"]) == ["1", "2", "3", "4"]
+
+
+def test_identify_without_outline_is_an_error(tmp_path, capsys):
+    map_path = tmp_path / "map.csv"
+    run(capsys, ["gen-map", "--rows", "2", "--cols", "2", "--pitch", "1.0", "--out", str(map_path)])
+    blank = tmp_path / "blank.pgm"
+    save_pgm(GreyImage(np.full((486, 648), 120, dtype=np.uint8)), blank)
+    code, out, err = run(capsys, [
+        "identify", "--map", str(map_path), "--image", str(blank), "--binning", "4",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "error: no sticker outline found" in err
+
+
+def test_readme_usage_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^floortag ([a-z-]+)", readme, flags=re.MULTILINE))
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert documented == set(subparsers.choices)
 
 
 def test_usage_error_exit_code():

@@ -22,15 +22,13 @@ from floortag.features import (
     calibrate_thresholds,
     detect_and_describe,
     hamming_distance,
-    load_descriptors,
     match,
-    save_descriptors,
     sticker_present,
 )
 from floortag.geometry import CameraIntrinsics, camera_world_position
 from floortag.identify import (
-    DEFAULT_DETECTION_FEATURES,
-    DEFAULT_FEATURES_PER_REF,
+    DETECTION_FEATURES,
+    VIEW_REFERENCE_FEATURES,
     REFERENCE_THRESHOLD,
     reference_sizes,
 )
@@ -150,8 +148,8 @@ def test_reference_artwork_features_match_oracle():
     sizes = reference_sizes(INTR)
     grids = {
         "detection": (artwork.sticker_cells_from_payloads(
-            list(artwork.detection_reference_payloads(0))), DEFAULT_DETECTION_FEATURES),
-        "sticker": (artwork.sticker_cells(5), DEFAULT_FEATURES_PER_REF),
+            list(artwork.detection_reference_payloads(0))), DETECTION_FEATURES),
+        "sticker": (artwork.sticker_cells(5), VIEW_REFERENCE_FEATURES),
     }
     capped_with_ties = 0
     for cells, total in grids.values():
@@ -341,30 +339,6 @@ def test_calibrate_thresholds():
     assert 9 < absent_max <= detect_min < 80
     with pytest.raises(ValueError):
         calibrate_thresholds([10, 12], [11, 13])
-
-
-def test_descriptor_file_round_trip(tmp_path):
-    feats = detect_and_describe(render_sticker(7, 250), max_features=80, threshold=15.0)
-    path = tmp_path / "ref_7.odsc"
-    save_descriptors(feats, path)
-    assert path.read_bytes()[:4] == b"ODSC"
-    loaded = load_descriptors(path)
-    assert len(loaded) == len(feats)
-    assert np.array_equal(loaded.descriptors, feats.descriptors)
-    for a, b in zip(loaded.keypoints, feats.keypoints):
-        assert a.x == pytest.approx(b.x, abs=1e-3)
-        assert a.y == pytest.approx(b.y, abs=1e-3)
-        assert a.angle == pytest.approx(b.angle, abs=1e-6)
-
-
-def test_descriptor_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.odsc"
-    path.write_bytes(b"NOPE" + bytes(16))
-    with pytest.raises(ValueError):
-        load_descriptors(path)
-    path.write_bytes(b"ODSC" + np.uint32(5).tobytes() + bytes(10))
-    with pytest.raises(ValueError, match="truncated"):
-        load_descriptors(path)
 
 
 def test_feature_set_validates_lengths():

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from floortag.artwork import render_sticker, sticker_cells
-from floortag.features import detect_and_describe, match
+from floortag.artwork import sticker_cells
+from floortag.features import detect_and_describe
 from floortag.geometry import CameraIntrinsics, downward_camera_pose
 from floortag.identify import (
-    IdentificationResult,
     ReferenceBank,
     ViewContext,
-    build_reference,
     contract_quad,
     estimate_blur_direction,
     estimate_view,
@@ -33,57 +31,33 @@ def bank(small_map):
     return ReferenceBank.build(small_map, INTR)
 
 
-def test_build_reference_caps_at_budget():
-    ref = build_reference(StickerSpec(5, 0, 0), features_per_ref=300)
-    assert 0 < len(ref) <= 300
-
-
-def test_build_reference_deterministic():
-    a = build_reference(StickerSpec(3, 0, 0), features_per_ref=200)
-    b = build_reference(StickerSpec(3, 0, 0), features_per_ref=200)
-    assert len(a) == len(b)
-    assert np.array_equal(a.descriptors, b.descriptors)
-
-
-def test_cross_match_below_self_match():
-    # The shared border and timing structure keeps rival scores non-zero; the
-    # identification gate relies on the margin, which must hold comfortably.
-    sizes = (300,)
-    ref_a = build_reference(StickerSpec(1, 0, 0), 400, sizes=sizes)
-    ref_b = build_reference(StickerSpec(2, 0, 0), 400, sizes=sizes)
-    scene = detect_and_describe(render_sticker(1, 300), max_features=2000, threshold=8.0)
-    self_score = len(match(ref_a, scene, 48))
-    cross_score = len(match(ref_b, scene, 48))
-    assert cross_score < 0.65 * self_score
-
-
 def test_reference_sizes_follow_intrinsics():
     sizes = reference_sizes(INTR, heights=(1.0,))
     assert sizes == (int(round(0.1 * INTR.focal_px)),)
 
 
-def test_bank_save_load_round_trip(tmp_path, small_map, bank):
-    bank.save(tmp_path)
-    loaded = ReferenceBank.load(tmp_path, small_map, INTR)
-    for sid in small_map.ids:
-        assert np.array_equal(loaded.entries[sid].descriptors, bank.entries[sid].descriptors)
+def _rendered_scene(sticker_id, position, spin, seed):
+    """Crop around one rendered sticker, and its truth quad in crop coordinates."""
+    wmap = single_sticker_map(StickerSpec(sticker_id, 0.0, 0.0, 0.0))
+    pose = downward_camera_pose(position, spin=spin)
+    img, truth = render(wmap, INTR, pose, RenderConfig(seed=seed))
+    tc = truth.corners_of(sticker_id)
+    x0, y0 = int(tc[:, 0].min()) - 25, int(tc[:, 1].min()) - 25
+    x1, y1 = int(tc[:, 0].max()) + 25, int(tc[:, 1].max()) + 25
+    return img.crop(x0, y0, x1, y1), tc - (x0, y0)
 
 
-def test_bank_load_missing_file(tmp_path, small_map):
-    with pytest.raises(FileNotFoundError):
-        ReferenceBank.load(tmp_path, small_map, INTR)
+def _blank_view(size):
+    quad = np.array([[20.0, 20.0], [size - 20.0, 20.0], [size - 20.0, size - 20.0],
+                     [20.0, size - 20.0]])
+    return ViewContext(quad, (size, size))
 
 
 def test_identify_single_candidate(bank, small_map):
-    sticker = small_map.get(3)
-    wmap = single_sticker_map(StickerSpec(3, 0.0, 0.0, 0.0))
-    pose = downward_camera_pose((0.02, -0.03, 1.0), spin=0.4)
-    img, truth = render(wmap, INTR, pose, RenderConfig(seed=21))
-    tc = truth.corners_of(3)
-    x0, y0 = int(tc[:, 0].min()) - 25, int(tc[:, 1].min()) - 25
-    x1, y1 = int(tc[:, 0].max()) + 25, int(tc[:, 1].max()) + 25
-    roi = img.crop(x0, y0, x1, y1)
-    result = identify_sticker(roi, bank, [3], accept_min=40)
+    roi, quad = _rendered_scene(3, (0.02, -0.03, 1.0), 0.4, seed=21)
+    feats = detect_and_describe(roi, max_features=10000, threshold=8.0)
+    view = estimate_view(roi, feats, quad, small_map.get(3).payloads)
+    result = identify_sticker(feats, bank, [3], view)
     assert result.sticker_id == 3
     assert result.accepted
     assert result.runner_up_score == 0
@@ -91,7 +65,8 @@ def test_identify_single_candidate(bank, small_map):
 
 def test_identify_blank_scene_ambiguous(bank):
     blank = GreyImage(np.full((200, 200), 120, dtype=np.uint8))
-    result = identify_sticker(blank, bank, [1, 2, 3])
+    feats = detect_and_describe(blank, max_features=10000, threshold=8.0)
+    result = identify_sticker(feats, bank, [1, 2, 3], _blank_view(200))
     assert not result.accepted
     assert result.sticker_id is None
     assert set(result.scores) == {1, 2, 3}
@@ -99,34 +74,28 @@ def test_identify_blank_scene_ambiguous(bank):
 
 def test_identify_rejects_empty_candidates(bank):
     blank = GreyImage(np.full((100, 100), 120, dtype=np.uint8))
+    feats = detect_and_describe(blank, max_features=10000, threshold=8.0)
     with pytest.raises(ValueError):
-        identify_sticker(blank, bank, [])
+        identify_sticker(feats, bank, [], _blank_view(100))
 
 
 def test_identify_permutation_invariant(bank, small_map):
-    wmap = single_sticker_map(StickerSpec(2, 0.0, 0.0, 0.0))
-    pose = downward_camera_pose((0.0, 0.0, 1.0), spin=1.2)
-    img, truth = render(wmap, INTR, pose, RenderConfig(seed=22))
-    tc = truth.corners_of(2)
-    roi = img.crop(int(tc[:, 0].min()) - 25, int(tc[:, 1].min()) - 25,
-                   int(tc[:, 0].max()) + 25, int(tc[:, 1].max()) + 25)
+    roi, quad = _rendered_scene(2, (0.0, 0.0, 1.0), 1.2, seed=22)
     feats = detect_and_describe(roi, max_features=5000, threshold=8.0)
-    a = identify_sticker(feats, bank, [1, 2, 3, 4], accept_min=40)
-    b = identify_sticker(feats, bank, [4, 3, 2, 1], accept_min=40)
+    # estimate_view probes with one candidate, so both orders share one view.
+    view = estimate_view(roi, feats, quad, small_map.get(1).payloads)
+    a = identify_sticker(feats, bank, [1, 2, 3, 4], view)
+    b = identify_sticker(feats, bank, [4, 3, 2, 1], view)
     assert a.sticker_id == b.sticker_id == 2
     assert a.scores == b.scores
 
 
 def test_identify_restricting_candidates_keeps_answer(bank, small_map):
-    wmap = single_sticker_map(StickerSpec(4, 0.0, 0.0, 0.0))
-    pose = downward_camera_pose((0.01, 0.02, 0.95), spin=2.5)
-    img, truth = render(wmap, INTR, pose, RenderConfig(seed=23))
-    tc = truth.corners_of(4)
-    roi = img.crop(int(tc[:, 0].min()) - 25, int(tc[:, 1].min()) - 25,
-                   int(tc[:, 0].max()) + 25, int(tc[:, 1].max()) + 25)
+    roi, quad = _rendered_scene(4, (0.01, 0.02, 0.95), 2.5, seed=23)
     feats = detect_and_describe(roi, max_features=5000, threshold=8.0)
-    full = identify_sticker(feats, bank, [1, 2, 3, 4], accept_min=40)
-    restricted = identify_sticker(feats, bank, [2, 4], accept_min=40)
+    view = estimate_view(roi, feats, quad, small_map.get(1).payloads)
+    full = identify_sticker(feats, bank, [1, 2, 3, 4], view)
+    restricted = identify_sticker(feats, bank, [2, 4], view)
     assert full.accepted
     assert restricted.sticker_id == full.sticker_id == 4
 

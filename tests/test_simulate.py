@@ -6,7 +6,6 @@ from floortag.simulate import (
     GroundTruth,
     RenderConfig,
     RenderGeometryError,
-    apply_motion_blur,
     blur_length_px,
     exposure_for_blur_px,
     load_truth,
@@ -101,11 +100,11 @@ def test_motion_blur_smears_edges():
     m = single_sticker_map()
     pose = downward_camera_pose((0.0, 0.0, 1.0))
     n = exposure_for_blur_px(INTR, 1.0, 1.0, 12.0)
-    sharp = apply_motion_blur(m, INTR, pose, RenderConfig(noise_sigma=0.0))
-    blurred = apply_motion_blur(
+    sharp = render(m, INTR, pose, RenderConfig(noise_sigma=0.0))[0]
+    blurred = render(
         m, INTR, pose,
         RenderConfig(noise_sigma=0.0, exposure_reciprocal=n, velocity=1.0, heading=0.0),
-    )
+    )[0]
     def grad_energy(img):
         px = img.to_float()
         return float(np.abs(np.diff(px, axis=1)).mean())
