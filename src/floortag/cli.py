@@ -7,8 +7,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import artwork, blur, features
 from .bench import run_benchmark
+from .clustering import Cluster, roi_from_cluster
 from .geometry import (
     DOWNWARD_BASE,
     CameraIntrinsics,
@@ -128,10 +131,19 @@ def _cmd_identify(args) -> int:
     if corners is None:
         print("error: no sticker outline found", file=sys.stderr)
         return 1
-    feats = features.detect_and_describe(
-        img, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
+    # Identify on the outline's box widened as the pipeline widens its ROIs:
+    # every candidate is rendered over the whole image it is given.
+    quad = corners.corners
+    roi = roi_from_cluster(
+        Cluster(quad.mean(axis=0), np.arange(4)), quad, img.width, img.height, cfg.roi_margin
     )
-    view = estimate_view(img, feats, corners.corners, wmap.get(candidates[0]).payloads)
+    crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
+    feats = features.detect_and_describe(
+        crop, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
+    )
+    view = estimate_view(
+        crop, feats, quad - (roi.x0, roi.y0), wmap.get(candidates[0]).payloads
+    )
     result = identify_sticker(
         feats, bank, candidates, view, max_distance=cfg.identify_max_distance,
         accept_min=cfg.accept_min, margin_ratio=cfg.margin_ratio,

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import homography_dlt
 from .imaging import GreyImage, QuadCorners, bilinear_sample, trace_contours
@@ -485,26 +486,14 @@ def otsu_threshold(px: np.ndarray) -> float:
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
-    pts = np.unique(points, axis=0)
-    if len(pts) < 3:
-        return pts.astype(np.float64)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].astype(np.float64)
-
-    def half(seq):
-        out: list[np.ndarray] = []
-        for p in seq:
-            while len(out) >= 2:
-                a = out[-1] - out[-2]
-                b = p - out[-2]
-                if a[0] * b[1] - a[1] * b[0] > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    """Qhull's vertices, counterclockwise from the lexicographic minimum, as the monotone chain gave."""
+    # Rows sorted by x, then y: the lowest index is the lexicographic minimum.
+    pts = np.unique(points, axis=0).astype(np.float64)
+    try:
+        vertices = ConvexHull(pts).vertices
+    except QhullError:  # fewer than 3 points, or all on one line
+        return pts[[0, -1]] if len(pts) > 2 else pts
+    return pts[np.roll(vertices, -int(np.argmin(vertices)))]
 
 
 def min_area_rect(points: np.ndarray) -> np.ndarray:

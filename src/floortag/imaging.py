@@ -292,39 +292,48 @@ def bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     )
 
 
-def _subpixel_edge(
-    px: np.ndarray, p: np.ndarray, normal: np.ndarray, half_width: float = 3.0
-) -> np.ndarray | None:
-    """Edge position along the normal through p via the gradient centroid.
+def _refine_edge(
+    px: np.ndarray, pts: np.ndarray, normal: np.ndarray, half_width: float = 3.0
+) -> np.ndarray:
+    """Edge positions along the normal through each point via the gradient centroid.
 
     The centroid of the luminance derivative is phase-independent to second
     order for a symmetric point spread, unlike mid-level crossing
     interpolation; for a motion-smeared edge it lands on the smear centre.
-    half_width must span the whole transition (plateaus at both ends).
+    half_width must span the whole transition (plateaus at both ends). All
+    profiles are sampled in one call, one row per point; a point is dropped
+    when its profile leaves the image, swings too little, crosses more than
+    one transition or does not settle inside the window.
     """
     h, w = px.shape
     n_samples = max(17, 2 * int(4 * half_width) + 1)
     ts = np.linspace(-half_width, half_width, n_samples)
-    xs = p[0] + ts * normal[0]
-    ys = p[1] + ts * normal[1]
-    if xs.min() < 0 or ys.min() < 0 or xs.max() > w - 1 or ys.max() > h - 1:
-        return None
-    vals = bilinear_sample(px, xs, ys)
-    diffs = np.diff(vals)
-    total = float(diffs.sum())
-    swing = float(vals.max() - vals.min())
-    if swing < 20 or abs(total) < 0.7 * swing:
-        return None
-    # Require a single transition: total variation close to the net change.
-    if np.abs(diffs).sum() > 1.6 * abs(total):
-        return None
-    # The transition must sit inside the window (flat plateaus at both ends).
+    xs = pts[:, :1] + ts * normal[0]
+    ys = pts[:, 1:] + ts * normal[1]
+    inside = (
+        (xs.min(axis=1) >= 0)
+        & (ys.min(axis=1) >= 0)
+        & (xs.max(axis=1) <= w - 1)
+        & (ys.max(axis=1) <= h - 1)
+    )
+    pts = pts[inside]
+    vals = bilinear_sample(px, xs[inside], ys[inside])
+    diffs = np.diff(vals, axis=1)
+    total = diffs.sum(axis=1)
+    swing = vals.max(axis=1) - vals.min(axis=1)
     tail = max(2, n_samples // 10)
-    if abs(vals[tail] - vals[0]) > 0.15 * swing or abs(vals[-1] - vals[-1 - tail]) > 0.15 * swing:
-        return None
+    ok = (
+        (swing >= 20)
+        & (np.abs(total) >= 0.7 * swing)
+        # A single transition: total variation close to the net change.
+        & (np.abs(diffs).sum(axis=1) <= 1.6 * np.abs(total))
+        # The transition sits inside the window (flat plateaus at both ends).
+        & (np.abs(vals[:, tail] - vals[:, 0]) <= 0.15 * swing)
+        & (np.abs(vals[:, -1] - vals[:, -1 - tail]) <= 0.15 * swing)
+    )
     mids = (ts[:-1] + ts[1:]) / 2.0
-    t = float(diffs @ mids) / total
-    return p + t * normal
+    t = np.vecdot(diffs[ok], mids) / total[ok]
+    return pts[ok] + t[:, None] * normal
 
 
 def extract_quad_corners(
@@ -334,8 +343,9 @@ def extract_quad_corners(
 
     With the source grey image supplied, edge points are re-localised at the
     luminance-gradient centroid along the edge normal before the line fit,
-    which removes the half-pixel bias of binarised boundary centres. Widen
-    profile_half_width so the whole transition fits when edges are smeared.
+    which removes the half-pixel bias of binarised boundary centres. Each edge
+    is refined in one batch: one bilinear sample over all its points' profiles.
+    Widen profile_half_width so the whole transition fits when edges are smeared.
     """
     pts = c.points.astype(np.float64)
     idx = _initial_corner_indices(pts)
@@ -373,13 +383,9 @@ def extract_quad_corners(
         cen, direction = _fit_line(edge_pts)
         if px is not None:
             nrm = np.array([-direction[1], direction[0]])
-            refined_pts = [
-                q
-                for p in edge_pts
-                if (q := _subpixel_edge(px, p, nrm, profile_half_width)) is not None
-            ]
+            refined_pts = _refine_edge(px, edge_pts, nrm, profile_half_width)
             if len(refined_pts) >= 2:
-                cen, direction = _fit_line(np.asarray(refined_pts))
+                cen, direction = _fit_line(refined_pts)
         lines.append((cen, direction))
 
     out = []

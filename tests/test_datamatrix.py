@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from floortag import datamatrix
 from floortag.datamatrix import (
     Codewords,
     EncodingError,
@@ -21,7 +25,7 @@ from floortag.datamatrix import (
     rs_encode,
     syndromes,
 )
-from floortag.imaging import GreyImage, QuadCorners
+from floortag.imaging import GreyImage, QuadCorners, trace_contours
 
 
 # Independent GF(256) arithmetic (russian peasant, polynomial 0x12D) used as
@@ -345,3 +349,97 @@ def test_rectify_quad_identity():
     corners = QuadCorners(np.array([[-0.5, -0.5], [49.5, -0.5], [49.5, 49.5], [-0.5, 49.5]]))
     flat = rectify_quad(img, corners, 50)
     assert np.abs(flat.to_float() - img.to_float()).mean() < 1.0
+
+
+# Reference hull: Andrew's monotone chain, counterclockwise from the
+# lexicographic minimum. _convex_hull must return the same vertices.
+def monotone_chain_hull(points: np.ndarray) -> np.ndarray:
+    pts = np.unique(points, axis=0)
+    if len(pts) < 3:
+        return pts.astype(np.float64)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].astype(np.float64)
+
+    def half(seq):
+        out: list[np.ndarray] = []
+        for p in seq:
+            while len(out) >= 2:
+                a = out[-1] - out[-2]
+                b = p - out[-2]
+                if a[0] * b[1] - a[1] * b[0] > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(pts[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
+def assert_hull_matches_oracle(points) -> None:
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    want = monotone_chain_hull(pts)
+    got = datamatrix._convex_hull(pts)
+    if len(want) >= 3:
+        assert np.array_equal(got, want)
+    else:
+        assert len(got) < 3
+        with pytest.raises(ValueError, match="degenerate point set"):
+            min_area_rect(pts)
+
+
+_COORD = st.integers(-40, 40)
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@st.composite
+def _collinear_run(draw):
+    x0, y0 = draw(_POINT)
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, -2)]))
+    n = draw(st.integers(1, 12))
+    return [(x0 + k * dx, y0 + k * dy) for k in range(n)]
+
+
+@st.composite
+def _point_sets(draw):
+    kind = draw(st.sampled_from(["few", "random", "duplicates", "collinear", "run_plus"]))
+    if kind == "few":
+        return draw(st.lists(_POINT, min_size=1, max_size=3))
+    if kind == "random":
+        return draw(st.lists(_POINT, min_size=1, max_size=40))
+    if kind == "duplicates":
+        pool = draw(st.lists(_POINT, min_size=1, max_size=5))
+        return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    run = draw(_collinear_run())
+    if kind == "collinear":
+        return run + draw(st.lists(st.sampled_from(run), max_size=5))
+    return run + draw(st.lists(_POINT, min_size=1, max_size=3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=_point_sets())
+def test_convex_hull_matches_monotone_chain(points):
+    assert_hull_matches_oracle(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=arrays(np.bool_, st.tuples(st.integers(2, 14), st.integers(2, 14))))
+def test_convex_hull_matches_monotone_chain_on_traced_blobs(blob):
+    # Random blobs padded by background: their outlines as decode traces them.
+    px = np.full((blob.shape[0] + 2, blob.shape[1] + 2), 255, dtype=np.uint8)
+    px[1:-1, 1:-1][blob] = 0
+    for contour in trace_contours(GreyImage(px)):
+        assert_hull_matches_oracle(contour.points)
+
+
+def test_degenerate_outline_is_no_exception():
+    # A 1-px line and a single pixel: no contour has an area, and none may
+    # raise anything but the ValueError that _direct_reads skips.
+    px = np.full((60, 60), 220, dtype=np.uint8)
+    px[20, 5:50] = 20
+    px[40, 30] = 20
+    img = GreyImage(px)
+    assert decode_roi(img) == []
+    (line,) = trace_contours(GreyImage(np.where(px < 128, 0, 255).astype(np.uint8)))
+    with pytest.raises(ValueError, match="degenerate point set"):
+        min_area_rect(line.points)

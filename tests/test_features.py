@@ -12,6 +12,7 @@ from floortag.artwork import render_sticker
 from floortag.bench import sample_camera_pose
 from floortag.features import (
     ABSENT,
+    DESCRIPTOR_BITS,
     DESCRIPTOR_BYTES,
     DETECTED,
     MARGIN,
@@ -306,6 +307,36 @@ def test_hamming_is_a_metric_on_random_triples():
         assert 0 <= dab <= 256
         assert hamming_distance(a, c) <= dab + hamming_distance(b, c)
         assert hamming_distance(a, a) == 0
+
+
+# Reference bit count: a 256-entry table over the bytes of the XOR.
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+def oracle_distance_matrix(ref: np.ndarray, scene: np.ndarray) -> np.ndarray:
+    return np.array(
+        [_BYTE_POPCOUNT[np.bitwise_xor(row, scene)].sum(axis=1, dtype=np.uint16) for row in ref]
+    ).reshape(len(ref), len(scene))
+
+
+@pytest.mark.parametrize("n_ref,n_scene", [(1, 1), (1, 300), (300, 1), (927, 228), (250, 40000)])
+def test_distance_matrix_matches_byte_table(n_ref, n_scene):
+    # 250 references against 40000 scene descriptors run in blocks of 100,
+    # the last one partial.
+    rng = np.random.default_rng(n_ref * 7 + n_scene)
+    ref = rng.integers(0, 256, size=(n_ref, DESCRIPTOR_BYTES), dtype=np.uint8)
+    scene = rng.integers(0, 256, size=(n_scene, DESCRIPTOR_BYTES), dtype=np.uint8)
+    # Identical rows reach distance 0 and complements reach the full 256 bits.
+    ref[-1] = ~scene[-1]
+    ref[0] = scene[0]
+    got = features._distance_matrix(ref, scene)
+    want = oracle_distance_matrix(ref, scene)
+    assert got.dtype == np.uint16 and got.shape == (n_ref, n_scene)
+    assert np.array_equal(got, want)
+    assert got[0, 0] == 0
+    assert n_ref == 1 or got[-1, -1] == DESCRIPTOR_BITS
+    for i, j in zip(rng.integers(0, n_ref, 20), rng.integers(0, n_scene, 20)):
+        assert hamming_distance(ref[i], scene[j]) == want[i, j]
 
 
 def test_scene_superset_rarely_loses_matches():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from floortag import imaging
+from floortag.bench import sample_camera_pose
+from floortag.geometry import CameraIntrinsics, camera_world_position
 from floortag.imaging import (
     Contour,
     FixedThreshold,
@@ -14,6 +17,8 @@ from floortag.imaging import (
     save_pgm,
     trace_contours,
 )
+from floortag.simulate import RenderConfig, exposure_for_blur_px, render
+from floortag.warehouse import generate_grid_map
 
 
 def test_grey_image_validates_shape():
@@ -222,3 +227,116 @@ def test_quad_corners_ccw_order_from_top_left():
     assert shoelace > 0
     s = x + y
     assert np.argmin(s) == 0
+
+
+# Reference edge refinement: one profile per call. extract_quad_corners must
+# reproduce its corners bit for bit.
+def oracle_subpixel_edge(
+    px: np.ndarray, p: np.ndarray, normal: np.ndarray, half_width: float = 3.0
+) -> np.ndarray | None:
+    h, w = px.shape
+    n_samples = max(17, 2 * int(4 * half_width) + 1)
+    ts = np.linspace(-half_width, half_width, n_samples)
+    xs = p[0] + ts * normal[0]
+    ys = p[1] + ts * normal[1]
+    if xs.min() < 0 or ys.min() < 0 or xs.max() > w - 1 or ys.max() > h - 1:
+        return None
+    vals = imaging.bilinear_sample(px, xs, ys)
+    diffs = np.diff(vals)
+    total = float(diffs.sum())
+    swing = float(vals.max() - vals.min())
+    if swing < 20 or abs(total) < 0.7 * swing:
+        return None
+    if np.abs(diffs).sum() > 1.6 * abs(total):
+        return None
+    tail = max(2, n_samples // 10)
+    if abs(vals[tail] - vals[0]) > 0.15 * swing or abs(vals[-1] - vals[-1 - tail]) > 0.15 * swing:
+        return None
+    mids = (ts[:-1] + ts[1:]) / 2.0
+    t = float(diffs @ mids) / total
+    return p + t * normal
+
+
+def oracle_refine_edge(px, pts, normal, half_width=3.0):
+    refined = [q for p in pts if (q := oracle_subpixel_edge(px, p, normal, half_width)) is not None]
+    return np.asarray(refined, dtype=np.float64).reshape(-1, 2)
+
+
+@pytest.fixture(scope="module")
+def sticker_frames():
+    """A sharp and a 10 px-smeared 1296x972 frame of a 3x3 map, seeded."""
+    intr = CameraIntrinsics.reference_camera(binning=2)
+    wmap = generate_grid_map(3, 3, 1.0)
+    target = wmap.get(4)
+    pose = sample_camera_pose(np.random.default_rng(21), (target.world_x, target.world_y))
+    height = float(camera_world_position(pose)[2])
+    sharp, _ = render(wmap, intr, pose, RenderConfig(seed=21))
+    smeared, _ = render(wmap, intr, pose, RenderConfig(
+        seed=22, exposure_reciprocal=exposure_for_blur_px(intr, height, 1.0, 10.0),
+        velocity=1.0, heading=0.4))
+    return {"sharp": sharp, "smeared": smeared}
+
+
+def assert_corners_match_oracle(img: GreyImage, half_width: float) -> dict[str, int]:
+    """Compare every outline's corners and every edge's refined points with the reference."""
+    px = img.to_float()
+    edges = []
+
+    def recording_oracle(px, pts, normal, hw):
+        edges.append((pts.copy(), normal.copy()))
+        return oracle_refine_edge(px, pts, normal, hw)
+
+    outlines = 0
+    for contour in trace_contours(binarize(img, MeanOffset(31, 10))):
+        if contour.area() < 400:
+            break
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(imaging, "_refine_edge", recording_oracle)
+            try:
+                want = extract_quad_corners(contour, img, half_width).corners
+            except NotAQuadError:
+                want = None
+        try:
+            got = extract_quad_corners(contour, img, half_width).corners
+        except NotAQuadError:
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got, want)
+            outlines += 1
+    counts = {"outlines": outlines, "points": 0, "kept": 0, "outside": 0}
+    n_samples = max(17, 2 * int(4 * half_width) + 1)
+    for pts, normal in edges:
+        got = imaging._refine_edge(px, pts, normal, half_width)
+        want = oracle_refine_edge(px, pts, normal, half_width)
+        assert np.array_equal(got, want)
+        counts["points"] += len(pts)
+        counts["kept"] += len(want)
+        reach = pts[:, None, :] + np.linspace(-half_width, half_width, n_samples)[:, None] * normal
+        counts["outside"] += int(np.sum(
+            (reach.min(axis=1) < 0).any(axis=1)
+            | (reach[..., 0].max(axis=1) > img.width - 1)
+            | (reach[..., 1].max(axis=1) > img.height - 1)
+        ))
+    return counts
+
+
+@pytest.mark.parametrize("kind,half_width", [("sharp", 3.0), ("smeared", 3.0), ("smeared", 8.0)])
+def test_quad_corners_match_per_point_oracle(sticker_frames, kind, half_width):
+    counts = assert_corners_match_oracle(sticker_frames[kind], half_width)
+    assert counts["outlines"] >= 1
+    # Some profiles pass every test and some fail one.
+    assert 0 < counts["kept"] < counts["points"]
+
+
+def test_quad_corners_match_oracle_where_profiles_leave_the_roi(sticker_frames):
+    img = sticker_frames["sharp"]
+    contour = trace_contours(binarize(img, MeanOffset(31, 10)))[0]
+    x0, y0 = contour.points.min(axis=0)
+    x1, y1 = contour.points.max(axis=0)
+    # The ROI cuts 6 px off every side of the outline's box, so the sticker's
+    # corners fall outside it and profiles near them reach past its border.
+    roi = img.crop(int(x0) + 6, int(y0) + 6, int(x1) - 5, int(y1) - 5)
+    counts = assert_corners_match_oracle(roi, 3.0)
+    assert counts["outlines"] >= 1
+    assert counts["outside"] > 0
