@@ -19,6 +19,7 @@ from .datamatrix import Codewords, bitmap_from_codewords, encode_text, rs_encode
 from .imaging import GreyImage
 
 STICKER_SIZE_M = 0.1
+MAX_STICKER_ID = 9999  # the payload holds four id digits
 CELLS = 30
 BORDER_CELLS = 2
 SYMBOL_CELLS = 10
@@ -30,21 +31,11 @@ PAPER = 255
 
 def payload_text(sticker_id: int, quadrant: int) -> str:
     """Six-digit payload: four id digits then two quadrant digits."""
-    if not (0 <= sticker_id <= 9999):
-        raise ValueError("sticker id must be in 0..9999")
+    if not (0 <= sticker_id <= MAX_STICKER_ID):
+        raise ValueError(f"sticker id must be in 0..{MAX_STICKER_ID}")
     if not (0 <= quadrant <= 3):
         raise ValueError("quadrant must be in 0..3")
     return f"{sticker_id:04d}{quadrant:02d}"
-
-
-def parse_payload(text: str) -> tuple[int, int]:
-    if len(text) != 6 or not text.isdigit():
-        raise ValueError(f"not a sticker payload: {text!r}")
-    sticker_id = int(text[:4])
-    quadrant = int(text[4:])
-    if quadrant > 3:
-        raise ValueError(f"not a sticker payload: {text!r}")
-    return sticker_id, quadrant
 
 
 def sticker_payloads(sticker_id: int) -> tuple[str, str, str, str]:
@@ -96,48 +87,30 @@ def render_cells(cells: np.ndarray, size_px: int, supersample: int = 3) -> GreyI
     return GreyImage.from_float(big)
 
 
-def render_sticker(sticker_id: int, size_px: int, supersample: int = 3) -> GreyImage:
-    return render_cells(sticker_cells(sticker_id), size_px, supersample)
+def render_sticker(sticker_id: int, size_px: int) -> GreyImage:
+    return render_cells(sticker_cells(sticker_id), size_px)
 
 
-def corners_local(size_m: float = STICKER_SIZE_M) -> np.ndarray:
+def corners_local() -> np.ndarray:
     """Artwork corners a0..a3 in the sticker frame (x right, y up, metres)."""
-    h = size_m / 2.0
+    h = STICKER_SIZE_M / 2.0
     return np.array([[-h, h], [h, h], [h, -h], [-h, -h]])
 
 
-def corners_world(x: float, y: float, yaw: float, size_m: float = STICKER_SIZE_M) -> np.ndarray:
+def corners_world(x: float, y: float, yaw: float) -> np.ndarray:
     """Artwork corners a0..a3 on the ground plane, (4, 3) world coordinates."""
-    local = corners_local(size_m)
+    local = corners_local()
     c, s = np.cos(yaw), np.sin(yaw)
     rot = np.array([[c, -s], [s, c]])
     xy = local @ rot.T + (x, y)
     return np.column_stack([xy, np.zeros(4)])
 
 
-def local_to_artwork_uv(sx: np.ndarray, sy: np.ndarray, size_m: float = STICKER_SIZE_M):
+def local_to_artwork_uv(sx: np.ndarray, sy: np.ndarray):
     """Sticker-frame metres to artwork unit coordinates (u right, v down)."""
-    u = sx / size_m + 0.5
-    v = 0.5 - sy / size_m
+    u = sx / STICKER_SIZE_M + 0.5
+    v = 0.5 - sy / STICKER_SIZE_M
     return u, v
-
-
-def quadrant_slot(cx: float, cy: float, size: float) -> int:
-    """Row-major 2x2 slot of a point in a square raster of the given side."""
-    return (2 if cy > size / 2 else 0) + (1 if cx > size / 2 else 0)
-
-
-def rotate_slot(slot: int, turns_ccw: int) -> int:
-    """Where a 2x2 quadrant lands after rotating the artwork CCW by quarter turns."""
-    r, c = divmod(slot, 2)
-    for _ in range(turns_ccw % 4):
-        r, c = 1 - c, r
-    return 2 * r + c
-
-
-def artwork_turns_from_decode(rotation: int) -> int:
-    """CCW quarter turns of the artwork in a rectified view, from the symbol rotation."""
-    return (4 - rotation) % 4
 
 
 def best_artwork_rotation(rectified: GreyImage, cells: np.ndarray) -> int:

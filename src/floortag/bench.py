@@ -8,14 +8,12 @@ import numpy as np
 
 from .geometry import CameraIntrinsics, Pose, downward_camera_pose
 from .identify import ReferenceBank
-from .pipeline import (
-    OUTCOME_LOCALISED,
-    PipelineConfig,
-    TrackerState,
-    process_frame,
-)
+from .pipeline import OUTCOME_LOCALISED, TrackerState, process_frame
 from .simulate import RenderConfig, exposure_for_blur_px, render
 from .warehouse import WarehouseMap
+
+AIM_JITTER_M = 0.06  # the aim point falls this far from the target, at most, per axis
+VELOCITY_M_S = 1.0  # walking speed behind the blurred frames
 
 
 @dataclass(frozen=True)
@@ -69,14 +67,13 @@ def sample_camera_pose(
     target_xy: tuple[float, float],
     height_range=(0.8, 1.5),
     max_tilt: float = np.deg2rad(30),
-    aim_jitter_m: float = 0.06,
 ) -> Pose:
     """Camera pose keeping a ground target in view: aim through the target point."""
     height = rng.uniform(*height_range)
     tilt = rng.uniform(0.0, max_tilt)
     azimuth = rng.uniform(0.0, 2 * np.pi)
     spin = rng.uniform(0.0, 2 * np.pi)
-    aim = np.array(target_xy) + rng.uniform(-aim_jitter_m, aim_jitter_m, size=2)
+    aim = np.array(target_xy) + rng.uniform(-AIM_JITTER_M, AIM_JITTER_M, size=2)
     offset = height * np.tan(tilt)
     position = (
         aim[0] + offset * np.cos(azimuth),
@@ -95,10 +92,6 @@ def run_benchmark(
     trials: int = 200,
     seed: int = 0,
     blur_px: float = 0.0,
-    velocity: float = 1.0,
-    config: PipelineConfig | None = None,
-    height_range=(0.8, 1.5),
-    max_tilt: float = np.deg2rad(30),
 ) -> BenchReport:
     """Render `trials` seeded frames over random stickers and localise each one."""
     rng = np.random.default_rng(seed)
@@ -107,24 +100,21 @@ def run_benchmark(
     state = TrackerState()
     for trial in range(trials):
         sticker = warehouse_map.get(ids[int(rng.integers(0, len(ids)))])
-        pose = sample_camera_pose(
-            rng, (sticker.world_x, sticker.world_y), height_range, max_tilt
-        )
+        pose = sample_camera_pose(rng, (sticker.world_x, sticker.world_y))
         cam_truth = -(pose.rotation.T @ pose.translation)
         if blur_px > 0:
             distance = float(cam_truth[2])
             cfg = RenderConfig(
                 seed=seed * 100003 + trial,
-                exposure_reciprocal=exposure_for_blur_px(intr, distance, velocity, blur_px),
-                velocity=velocity,
+                exposure_reciprocal=exposure_for_blur_px(intr, distance, VELOCITY_M_S, blur_px),
+                velocity=VELOCITY_M_S,
                 heading=float(rng.uniform(0, 2 * np.pi)),
             )
         else:
             cfg = RenderConfig(seed=seed * 100003 + trial)
         img, truth = render(warehouse_map, intr, pose, cfg)
         result, state = process_frame(
-            img, warehouse_map, intr, bank, state,
-            config=config, frame_id=trial, timestamp=trial / 10.0,
+            img, warehouse_map, intr, bank, state, frame_id=trial, timestamp=trial / 10.0
         )
         error = None
         if result.position is not None:

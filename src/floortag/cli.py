@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artwork, blur, features
+from . import artwork, blur
 from .bench import run_benchmark
 from .clustering import Cluster, roi_from_cluster
 from .geometry import (
@@ -17,13 +17,17 @@ from .geometry import (
     CameraIntrinsics,
     Pose,
     load_intrinsics,
-    rotation_x,
-    rotation_y,
-    rotation_z,
+    rotation_zyx,
 )
-from .identify import ReferenceBank, estimate_view, identify_sticker
+from .identify import ReferenceBank
 from .imaging import load_pgm, save_pgm
-from .pipeline import OUTCOME_ERROR, PipelineConfig, extract_corners, process_sequence
+from .pipeline import (
+    OUTCOME_ERROR,
+    PipelineConfig,
+    extract_corners,
+    identify_crop,
+    process_sequence,
+)
 from .simulate import RenderConfig, render, save_truth
 from .warehouse import generate_grid_map, load_map, save_map
 
@@ -40,7 +44,7 @@ def _parse_pose(text: str) -> Pose:
         raise argparse.ArgumentTypeError("pose needs x,y,z,roll,pitch,yaw")
     x, y, z, roll, pitch, yaw = parts
     # Orientation applies to the nominal downward-looking camera, ZYX intrinsic.
-    r_cw = rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll) @ DOWNWARD_BASE
+    r_cw = rotation_zyx(roll, pitch, yaw) @ DOWNWARD_BASE
     return Pose.from_camera((x, y, z), r_cw)
 
 
@@ -138,16 +142,10 @@ def _cmd_identify(args) -> int:
         Cluster(quad.mean(axis=0), np.arange(4)), quad, img.width, img.height, cfg.roi_margin
     )
     crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
-    feats = features.detect_and_describe(
-        crop, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
-    )
-    view = estimate_view(
-        crop, feats, quad - (roi.x0, roi.y0), wmap.get(candidates[0]).payloads
-    )
-    result = identify_sticker(
-        feats, bank, candidates, view, max_distance=cfg.identify_max_distance,
-        accept_min=cfg.accept_min, margin_ratio=cfg.margin_ratio,
-    )
+    result = identify_crop(crop, quad - (roi.x0, roi.y0), wmap, bank, candidates, cfg)
+    if result is None:
+        print("error: no features around the sticker outline", file=sys.stderr)
+        return 1
     payload = {
         "sticker_id": result.sticker_id,
         "score": result.score,

@@ -6,9 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artwork import STICKER_SIZE_M
 from .geometry import CameraIntrinsics
 
 MAX_STICKERS_IN_VIEW = 3  # floor layout guarantees no more can appear at once
+SEED_CLUSTERS = 4  # Lloyd iterations start from this many farthest-point seeds
+MIN_CLUSTER_MEMBERS = 3  # smaller clusters are stray matches, not stickers
+TYPICAL_VIEWING_DISTANCE_M = 1.0
 
 
 @dataclass(frozen=True)
@@ -26,9 +30,6 @@ class ClusterSet:
 
     def __len__(self) -> int:
         return len(self.clusters)
-
-    def total_members(self) -> int:
-        return sum(len(c) for c in self.clusters)
 
 
 @dataclass(frozen=True)
@@ -51,25 +52,18 @@ class Roi:
         return self.y1 - self.y0
 
 
-def default_merge_dist(intr: CameraIntrinsics, viewing_distance_m: float = 1.0,
-                       sticker_size_m: float = 0.1) -> float:
+def default_merge_dist(intr: CameraIntrinsics) -> float:
     """1.5x the projected sticker size at the typical viewing distance."""
-    return 1.5 * sticker_size_m * intr.focal_px / viewing_distance_m
+    return 1.5 * STICKER_SIZE_M * intr.focal_px / TYPICAL_VIEWING_DISTANCE_M
 
 
-def cluster_keypoints(
-    points,
-    k_init: int = 4,
-    merge_dist: float = 200.0,
-    max_clusters: int = MAX_STICKERS_IN_VIEW,
-    min_members: int = 3,
-) -> ClusterSet:
-    """Lloyd iterations from bounding-box corner seeds, then merge close means.
+def cluster_keypoints(points, merge_dist: float = 200.0) -> ClusterSet:
+    """Lloyd iterations from farthest-point seeds, then merge close means.
 
     Merging repeats while any two means sit closer than merge_dist, then
-    clusters below min_members are absorbed into their nearest neighbour
-    (stray false matches never earn their own sticker), and finally the
-    closest pairs merge until at most max_clusters remain.
+    clusters below MIN_CLUSTER_MEMBERS are absorbed into their nearest
+    neighbour (stray false matches never earn their own sticker), and finally
+    the closest pairs merge until at most MAX_STICKERS_IN_VIEW remain.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 1:
@@ -81,7 +75,7 @@ def cluster_keypoints(
     first = int(np.argmin(((pts - (x0, y0)) ** 2).sum(axis=1)))
     seed_idx = [first]
     min_d2 = ((pts - pts[first]) ** 2).sum(axis=1)
-    while len(seed_idx) < min(k_init, len(pts)):
+    while len(seed_idx) < min(SEED_CLUSTERS, len(pts)):
         nxt = int(np.argmax(min_d2))
         if min_d2[nxt] <= 1e-12:
             break
@@ -137,14 +131,14 @@ def cluster_keypoints(
         merge(i, j)
     while len(clusters) > 1:
         small = min(range(len(clusters)), key=lambda k: len(clusters[k]))
-        if len(clusters[small]) >= min_members:
+        if len(clusters[small]) >= MIN_CLUSTER_MEMBERS:
             break
         nearest = min(
             (k for k in range(len(clusters)) if k != small),
             key=lambda k: np.linalg.norm(clusters[k].mean - clusters[small].mean),
         )
         merge(min(small, nearest), max(small, nearest))
-    while len(clusters) > max_clusters:
+    while len(clusters) > MAX_STICKERS_IN_VIEW:
         _, i, j = closest_pair()
         merge(i, j)
     return ClusterSet(clusters)

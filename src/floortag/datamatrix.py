@@ -19,6 +19,7 @@ DATA_REGION = 8
 DATA_CODEWORDS = 3
 ECC_CODEWORDS = 5
 GF_POLY = 0x12D
+MAX_FINDER_ERRORS = 2  # L finder and timing modules a decodable grid may miss
 
 
 class UncorrectableError(ValueError):
@@ -114,10 +115,9 @@ class Codewords:
 
 @dataclass(frozen=True)
 class Payload:
-    """Corrected data codewords plus how much correction was needed."""
+    """Corrected data codewords plus how many codeword errors were corrected."""
 
     data: bytes
-    erasures_corrected: int = 0
     errors_corrected: int = 0
 
     @property
@@ -145,8 +145,6 @@ class SymbolBitmap:
 @dataclass(frozen=True)
 class SymbolRead:
     payload: Payload
-    rotation: int  # CCW quarter turns that bring the sampled grid to standard orientation
-    center: tuple[float, float]  # symbol centre in the coordinates of the decoded image
 
 
 def _randomised_pad(position: int) -> int:
@@ -218,11 +216,10 @@ def syndromes(codewords: bytes) -> list[int]:
     return [_poly_eval(list(codewords), gf_pow(2, i)) for i in range(1, ECC_CODEWORDS + 1)]
 
 
-def _berlekamp_massey(synd: list[int], erase_count: int) -> list[int]:
+def _berlekamp_massey(synd: list[int]) -> list[int]:
     err_loc = [1]
     old_loc = [1]
-    for i in range(len(synd) - erase_count):
-        k = i + erase_count
+    for k in range(len(synd)):
         delta = synd[k]
         for j in range(1, len(err_loc)):
             delta ^= gf_mul(err_loc[-(j + 1)], synd[k - j])
@@ -240,8 +237,8 @@ def _berlekamp_massey(synd: list[int], erase_count: int) -> list[int]:
     return err_loc
 
 
-def rs_decode(cw: Codewords | bytes, erasure_positions: tuple[int, ...] = ()) -> Payload:
-    """Correct up to 2 codeword errors (fewer with erasures) and unpack the message."""
+def rs_decode(cw: Codewords | bytes) -> Payload:
+    """Correct up to 2 codeword errors and unpack the message."""
     if isinstance(cw, Codewords):
         received = list(cw.full)
     else:
@@ -249,27 +246,14 @@ def rs_decode(cw: Codewords | bytes, erasure_positions: tuple[int, ...] = ()) ->
     if len(received) != DATA_CODEWORDS + ECC_CODEWORDS:
         raise ValueError("expected 8 codewords")
     n = len(received)
-    erasures = sorted(set(int(p) for p in erasure_positions))
-    if any(p < 0 or p >= n for p in erasures):
-        raise ValueError("erasure position out of range")
-    if len(erasures) > ECC_CODEWORDS:
-        raise UncorrectableError("uncorrectable: too many erasures")
 
     synd = syndromes(bytes(received))
     if max(synd) == 0:
-        return Payload(bytes(received[:DATA_CODEWORDS]), 0, 0)
+        return Payload(bytes(received[:DATA_CODEWORDS]))
 
-    # Forney syndromes hide the erasures so Berlekamp-Massey sees errors only.
-    fsynd = list(synd)
-    for p in erasures:
-        x = gf_pow(2, n - 1 - p)
-        for j in range(len(fsynd) - 1):
-            fsynd[j] = gf_mul(fsynd[j], x) ^ fsynd[j + 1]
-    fsynd = fsynd[: len(synd) - len(erasures)]
-
-    err_loc = _berlekamp_massey(fsynd, 0) if fsynd else [1]
+    err_loc = _berlekamp_massey(synd)
     n_errors = len(err_loc) - 1
-    if 2 * n_errors + len(erasures) > ECC_CODEWORDS:
+    if 2 * n_errors > ECC_CODEWORDS:
         raise UncorrectableError("uncorrectable: too many errors")
 
     # Chien search: the reversed locator has roots alpha^e at error degrees e.
@@ -281,15 +265,10 @@ def rs_decode(cw: Codewords | bytes, erasure_positions: tuple[int, ...] = ()) ->
     if len(err_pos) != n_errors:
         raise UncorrectableError("uncorrectable: error locator roots inconsistent")
 
-    all_pos = sorted(set(err_pos) | set(erasures))
-    corrected = _forney_correct(received, synd, all_pos)
+    corrected = _forney_correct(received, synd, sorted(err_pos))
     if max(syndromes(bytes(corrected))) != 0:
         raise UncorrectableError("uncorrectable: correction failed")
-    return Payload(
-        bytes(corrected[:DATA_CODEWORDS]),
-        erasures_corrected=len(erasures),
-        errors_corrected=len([p for p in err_pos if p not in erasures]),
-    )
+    return Payload(bytes(corrected[:DATA_CODEWORDS]), errors_corrected=n_errors)
 
 
 def _forney_correct(received: list[int], synd: list[int], positions: list[int]) -> list[int]:
@@ -450,13 +429,13 @@ def render_symbol(cw: Codewords, module_px: int) -> GreyImage:
     return GreyImage(img.astype(np.uint8))
 
 
-def decode_bitmap(modules: np.ndarray, max_finder_errors: int = 2) -> tuple[Payload, int] | None:
+def decode_bitmap(modules: np.ndarray) -> tuple[Payload, int] | None:
     """Try the four symbol orientations; return (payload, ccw quarter turns) or None."""
     m = np.asarray(modules, dtype=bool)
     candidates = sorted(range(4), key=lambda k: finder_mismatches(np.rot90(m, k)))
     for k in candidates:
         rotated = np.rot90(m, k)
-        if finder_mismatches(rotated) > max_finder_errors:
+        if finder_mismatches(rotated) > MAX_FINDER_ERRORS:
             continue
         try:
             payload = rs_decode(codewords_from_bitmap(rotated))
@@ -562,13 +541,20 @@ def rectify_quad(img: GreyImage, corners: QuadCorners, size: int) -> GreyImage:
     return GreyImage.from_float(out)
 
 
-def _direct_reads(roi: GreyImage, min_side: float = 12.0) -> list[SymbolRead]:
-    px = roi.to_float()
-    threshold = otsu_threshold(roi.pixels)
+RECTIFIED_STICKER_PX = 240
+MIN_SYMBOL_SIDE_PX = 12.0
+
+
+def decode_roi_detail(roi_img: GreyImage) -> list[SymbolRead]:
+    """Every symbol read in the image: a rectified sticker (see rectify_quad) or a crop."""
+    if roi_img.width < 40 or roi_img.height < 40:
+        raise ValueError("ROI must be at least 40x40 pixels")
+    px = roi_img.to_float()
+    threshold = otsu_threshold(roi_img.pixels)
     binary = GreyImage(np.where(px < threshold, 0, 255).astype(np.uint8))
     reads: list[SymbolRead] = []
     for contour in trace_contours(binary):
-        if contour.area() < min_side * min_side * 0.3:
+        if contour.area() < MIN_SYMBOL_SIDE_PX * MIN_SYMBOL_SIDE_PX * 0.3:
             continue
         try:
             quad = min_area_rect(contour.points)
@@ -576,33 +562,16 @@ def _direct_reads(roi: GreyImage, min_side: float = 12.0) -> list[SymbolRead]:
             continue
         side_a = np.linalg.norm(quad[1] - quad[0])
         side_b = np.linalg.norm(quad[3] - quad[0])
-        if min(side_a, side_b) < min_side or max(side_a, side_b) > 4 * min(side_a, side_b):
+        short = min(side_a, side_b)
+        if short < MIN_SYMBOL_SIDE_PX or max(side_a, side_b) > 4 * short:
             continue
         grid = _grid_from_quad(px, quad, threshold)
         result = decode_bitmap(grid)
-        if result is None:
-            continue
-        payload, rotation = result
-        centre = quad.mean(axis=0)
-        reads.append(SymbolRead(payload, rotation, (float(centre[0]), float(centre[1]))))
+        if result is not None:
+            reads.append(SymbolRead(result[0]))
     return reads
 
 
-RECTIFIED_STICKER_PX = 240
-
-
-def decode_roi_detail(
-    roi_img: GreyImage, corners: QuadCorners | None = None
-) -> list[SymbolRead]:
-    """Symbol reads with orientation info; rectified when quad corners are given."""
-    if roi_img.width < 40 or roi_img.height < 40:
-        raise ValueError("ROI must be at least 40x40 pixels")
-    if corners is None:
-        return _direct_reads(roi_img)
-    flat = rectify_quad(roi_img, corners, RECTIFIED_STICKER_PX)
-    return _direct_reads(flat)
-
-
-def decode_roi(roi_img: GreyImage, corners: QuadCorners | None = None) -> list[Payload]:
+def decode_roi(roi_img: GreyImage) -> list[Payload]:
     """All successfully decoded symbol payloads in the ROI (possibly empty)."""
-    return [read.payload for read in decode_roi_detail(roi_img, corners)]
+    return [read.payload for read in decode_roi_detail(roi_img)]

@@ -50,9 +50,6 @@ DETECTED = "detected"
 ABSENT = "absent"
 UNCERTAIN = "uncertain"
 
-DEFAULT_DETECT_MIN = 50  # more matches than this: sticker present
-DEFAULT_ABSENT_MAX = 15  # fewer than this: no sticker
-
 # FAST circle of radius 3, clockwise from 12 o'clock: (dy, dx).
 _CIRCLE = np.array(
     [(-3, 0), (-3, 1), (-2, 2), (-1, 3), (0, 3), (1, 3), (2, 2), (3, 1),
@@ -291,10 +288,6 @@ def detect_and_describe(
     return FeatureSet(kps, descriptors[order])
 
 
-def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.bitwise_count(np.bitwise_xor(a, b)).sum())
-
-
 def _distance_matrix(ref: np.ndarray, scene: np.ndarray) -> np.ndarray:
     ref_words = np.ascontiguousarray(ref).view(np.uint64)
     scene_words = np.ascontiguousarray(scene).view(np.uint64)
@@ -331,12 +324,8 @@ def match(reference, scene, max_distance: int = 64) -> MatchSet:
     return MatchSet(pairs)
 
 
-def sticker_present(
-    matches: MatchSet,
-    detect_min: int = DEFAULT_DETECT_MIN,
-    absent_max: int = DEFAULT_ABSENT_MAX,
-) -> str:
-    """Detection decision from the match count: detected / absent / uncertain."""
+def sticker_present(matches: MatchSet, detect_min: int, absent_max: int) -> str:
+    """Detection decision: detected above detect_min matches, absent below absent_max."""
     n = len(matches)
     if n > detect_min:
         return DETECTED

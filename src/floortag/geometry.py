@@ -150,10 +150,6 @@ class Pose:
         return m
 
     @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def from_camera(cls, position, r_cam_in_world) -> "Pose":
         """Pose of a camera at `position` whose axes (columns) are given in world frame."""
         r_cw = np.asarray(r_cam_in_world, dtype=np.float64)
@@ -224,15 +220,8 @@ def project_homogeneous(intr: CameraIntrinsics, pose: Pose, point) -> np.ndarray
     return projection_matrix(intr, pose) @ np.append(p, 1.0)
 
 
-def project(intr: CameraIntrinsics, pose: Pose, point) -> np.ndarray:
-    """Pixel (u, v) of a world point; raises if at or behind the camera plane."""
-    h = project_homogeneous(intr, pose, point)
-    if h[2] <= 1e-12:
-        raise BehindCameraError(f"point has non-positive depth {h[2]!r}")
-    return h[:2] / h[2]
-
-
 def project_many(intr: CameraIntrinsics, pose: Pose, points: np.ndarray) -> np.ndarray:
+    """Pixels (u, v) of world points, (n, 2); raises if any is at or behind the camera plane."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     h = np.column_stack([pts, np.ones(len(pts))]) @ projection_matrix(intr, pose).T
     if np.any(h[:, 2] <= 1e-12):
@@ -377,14 +366,11 @@ class RefineResult:
     converged: bool
 
 
-def refine_pose(
-    intr: CameraIntrinsics,
-    pose0: Pose,
-    world_points,
-    pixels,
-    max_iter: int = 50,
-    tol: float = 1e-10,
-) -> RefineResult:
+REFINE_MAX_ITERATIONS = 50
+REFINE_STEP_TOL = 1e-10  # a Gauss-Newton step shorter than this has converged
+
+
+def refine_pose(intr: CameraIntrinsics, pose0: Pose, world_points, pixels) -> RefineResult:
     """Damped Gauss-Newton on reprojection residuals; RMS never increases."""
     pts = np.asarray(world_points, dtype=np.float64).reshape(-1, 3)
     pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
@@ -394,7 +380,7 @@ def refine_pose(
     n = 2 * len(pts)
     lam = 1e-6
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, REFINE_MAX_ITERATIONS + 1):
         jac = reprojection_jacobian(intr, pose, pts)
         a = jac.T @ jac
         g = jac.T @ r
@@ -419,6 +405,6 @@ def refine_pose(
         if not stepped:
             # Never improved from pose0: report divergence with the input pose.
             return RefineResult(pose, np.sqrt(cost / n), iterations, pose is not pose0)
-        if np.linalg.norm(delta) < tol:
+        if np.linalg.norm(delta) < REFINE_STEP_TOL:
             return RefineResult(pose, np.sqrt(cost / n), iterations, True)
     return RefineResult(pose, np.sqrt(cost / n), iterations, True)

@@ -17,10 +17,10 @@ from scipy import ndimage
 
 from . import artwork
 from .features import FeatureSet, detect_and_describe, match
-from .datamatrix import rectify_quad
+from .datamatrix import RECTIFIED_STICKER_PX, rectify_quad
 from .geometry import CameraIntrinsics, homography_dlt
 from .imaging import GreyImage, QuadCorners, bilinear_sample
-from .simulate import sticker_texture
+from .simulate import FLOOR_LUMINANCE, sticker_texture
 from .warehouse import WarehouseMap
 
 VIEW_REFERENCE_FEATURES = 500
@@ -29,6 +29,10 @@ DEFAULT_ACCEPT_MIN = 80
 DEFAULT_MARGIN_RATIO = 1.25
 DEFAULT_MAX_DISTANCE = 48
 REFERENCE_THRESHOLD = 8.0
+# Expected camera heights, metres: one detection-reference raster per height.
+REFERENCE_HEIGHTS_M = (0.75, 0.95, 1.2, 1.5)
+VIEW_BLUR_SAMPLES = 9  # shifted copies averaged to draw a smeared candidate
+VIEW_BLUR_LENGTHS_PX = (0.0, 5.0, 10.0, 15.0, 20.0)  # smear lengths estimate_view tries
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,7 @@ class ViewContext:
     shape: tuple[int, int]  # scene (height, width)
     blur_length_px: float = 0.0
     blur_direction: tuple[float, float] = (1.0, 0.0)
-    background: float = 120.0
+    background: float = FLOOR_LUMINANCE
     turns: int = 0  # artwork corner a[(j+turns)%4] sits at quad[j]
 
 
@@ -52,13 +56,10 @@ class IdentificationResult:
     scores: dict[int, int] = field(default_factory=dict)
 
 
-DEFAULT_REFERENCE_HEIGHTS = (0.75, 0.95, 1.2, 1.5)
-
-
-def reference_sizes(intr: CameraIntrinsics, heights=DEFAULT_REFERENCE_HEIGHTS) -> tuple[int, ...]:
+def reference_sizes(intr: CameraIntrinsics) -> tuple[int, ...]:
     """Reference raster sizes matching the projected sticker at expected distances."""
     return tuple(
-        int(round(artwork.STICKER_SIZE_M * intr.focal_px / h)) for h in heights
+        int(round(artwork.STICKER_SIZE_M * intr.focal_px / h)) for h in REFERENCE_HEIGHTS_M
     )
 
 
@@ -106,7 +107,7 @@ class ReferenceBank:
         )
 
 
-def render_candidate_view(payloads, view: ViewContext, samples: int = 9) -> GreyImage:
+def render_candidate_view(payloads, view: ViewContext) -> GreyImage:
     """Draw a candidate sticker into the view quad with the view's motion smear."""
     tex = sticker_texture(tuple(payloads))
     s = tex.shape[0]
@@ -120,7 +121,7 @@ def render_candidate_view(payloads, view: ViewContext, samples: int = 9) -> Grey
     scale = np.linalg.norm(view.quad[1] - view.quad[0]) / s
     half = view.blur_length_px / 2.0
     dx, dy = view.blur_direction
-    offsets = np.linspace(-half, half, samples) if half > 0 else [0.0]
+    offsets = np.linspace(-half, half, VIEW_BLUR_SAMPLES) if half > 0 else [0.0]
     for off in offsets:
         px_x = (xs + dx * off).ravel()
         px_y = (ys + dy * off).ravel()
@@ -163,13 +164,7 @@ def contract_quad(quad: np.ndarray, direction, amount: float) -> np.ndarray:
 
 
 def estimate_view(
-    roi: GreyImage,
-    scene_feats: FeatureSet,
-    quad: np.ndarray,
-    probe_payloads,
-    background: float | None = None,
-    lengths=(0.0, 5.0, 10.0, 15.0, 20.0),
-    max_distance: int = DEFAULT_MAX_DISTANCE,
+    roi: GreyImage, scene_feats: FeatureSet, quad: np.ndarray, probe_payloads
 ) -> ViewContext:
     """Fit the motion-smear length (and residual alignment) to the scene.
 
@@ -180,26 +175,25 @@ def estimate_view(
     """
     shape = (roi.height, roi.width)
     direction = estimate_blur_direction(roi)
-    if background is None:
-        edge_px = np.concatenate(
-            [roi.pixels[0, :], roi.pixels[-1, :], roi.pixels[:, 0], roi.pixels[:, -1]]
-        )
-        background = float(np.median(edge_px))
+    edge_px = np.concatenate(
+        [roi.pixels[0, :], roi.pixels[-1, :], roi.pixels[:, 0], roi.pixels[:, -1]]
+    )
+    background = float(np.median(edge_px))
     # 4-fold artwork orientation from coarse correlation; payload content is a
     # second-order effect there, so the probe candidate decides for everyone.
-    rectified = rectify_quad(roi, QuadCorners(quad), 240)
+    rectified = rectify_quad(roi, QuadCorners(quad), RECTIFIED_STICKER_PX)
     turns = artwork.best_artwork_rotation(
         rectified, artwork.sticker_cells_from_payloads(list(probe_payloads))
     )
     best = None
-    for length in lengths:
+    for length in VIEW_BLUR_LENGTHS_PX:
         trial_quad = contract_quad(quad, direction, length / 2.0) if length > 0 else quad
         view = ViewContext(trial_quad, shape, length, direction, background, turns)
         synth = render_candidate_view(probe_payloads, view)
         ref = detect_and_describe(synth, max_features=400, threshold=REFERENCE_THRESHOLD)
         if len(ref) == 0:
             continue
-        pairs = match(ref, scene_feats, max_distance).pairs
+        pairs = match(ref, scene_feats, DEFAULT_MAX_DISTANCE).pairs
         if best is None or len(pairs) > best[0]:
             best = (len(pairs), view, ref, pairs)
     if best is None:

@@ -90,11 +90,6 @@ class QuadCorners:
 
 
 @dataclass(frozen=True)
-class FixedThreshold:
-    threshold: float
-
-
-@dataclass(frozen=True)
 class MeanOffset:
     window: int
     offset: float = 10.0
@@ -145,18 +140,13 @@ def load_pgm(path) -> GreyImage:
     return GreyImage(np.frombuffer(payload, dtype=np.uint8).reshape(height, width))
 
 
-def binarize(img: GreyImage, method: FixedThreshold | MeanOffset) -> GreyImage:
-    """Threshold to {0, 255}: fixed level, or local mean minus an offset."""
+def binarize(img: GreyImage, method: MeanOffset) -> GreyImage:
+    """Threshold to {0, 255}: dark where a pixel is below its local mean minus the offset."""
+    if method.window < 3 or method.window % 2 == 0:
+        raise ValueError(f"window must be odd and >= 3, got {method.window}")
     px = img.to_float()
-    if isinstance(method, FixedThreshold):
-        dark = px < method.threshold
-    elif isinstance(method, MeanOffset):
-        if method.window < 3 or method.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {method.window}")
-        local_mean = ndimage.uniform_filter(px, size=method.window, mode="nearest")
-        dark = px < local_mean - method.offset
-    else:
-        raise TypeError(f"unknown binarisation method {method!r}")
+    local_mean = ndimage.uniform_filter(px, size=method.window, mode="nearest")
+    dark = px < local_mean - method.offset
     return GreyImage(np.where(dark, 0, 255).astype(np.uint8))
 
 
@@ -292,8 +282,12 @@ def bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     )
 
 
+# Half the length of each edge-normal luminance profile, pixels.
+PROFILE_HALF_WIDTH = 3.0
+
+
 def _refine_edge(
-    px: np.ndarray, pts: np.ndarray, normal: np.ndarray, half_width: float = 3.0
+    px: np.ndarray, pts: np.ndarray, normal: np.ndarray, half_width: float
 ) -> np.ndarray:
     """Edge positions along the normal through each point via the gradient centroid.
 
@@ -336,16 +330,13 @@ def _refine_edge(
     return pts[ok] + t[:, None] * normal
 
 
-def extract_quad_corners(
-    c: Contour, image: GreyImage | None = None, profile_half_width: float = 3.0
-) -> QuadCorners:
+def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorners:
     """Quad corners from a contour: support extreme points refined by edge-line intersection.
 
     With the source grey image supplied, edge points are re-localised at the
     luminance-gradient centroid along the edge normal before the line fit,
     which removes the half-pixel bias of binarised boundary centres. Each edge
     is refined in one batch: one bilinear sample over all its points' profiles.
-    Widen profile_half_width so the whole transition fits when edges are smeared.
     """
     pts = c.points.astype(np.float64)
     idx = _initial_corner_indices(pts)
@@ -383,7 +374,7 @@ def extract_quad_corners(
         cen, direction = _fit_line(edge_pts)
         if px is not None:
             nrm = np.array([-direction[1], direction[0]])
-            refined_pts = _refine_edge(px, edge_pts, nrm, profile_half_width)
+            refined_pts = _refine_edge(px, edge_pts, nrm, PROFILE_HALF_WIDTH)
             if len(refined_pts) >= 2:
                 cen, direction = _fit_line(refined_pts)
         lines.append((cen, direction))

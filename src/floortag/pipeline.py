@@ -49,11 +49,10 @@ class PipelineConfig:
     detect_features: int = 2500
     detect_threshold: float = 8.0
     detect_max_distance: int = 64
-    # Calibrated on the synthetic camera; features.sticker_present keeps its
-    # own stock 50/15 defaults.
+    # Detection reference matches: more than detect_min means a sticker is in
+    # view, fewer than absent_max means none is. Calibrated on the synthetic camera.
     detect_min: int = 35
-    absent_max: int = features.DEFAULT_ABSENT_MAX
-    merge_dist: float | None = None  # default derives from the intrinsics
+    absent_max: int = 15
     # Wider than the clustering default so rotated quad corners survive the crop.
     roi_margin: float = 0.4
     # Minimum ROI side, as a multiple of the projected sticker size at 1 m.
@@ -122,6 +121,7 @@ class _RoiContext:
     roi: clustering.Roi
     crop: GreyImage
     corners: QuadCorners | None  # crop-local
+    flat: GreyImage | None = None  # the quad rectified, once decoding has tried it
 
 
 class _StageClock:
@@ -146,6 +146,36 @@ def extract_corners(crop: GreyImage, min_area: float) -> QuadCorners | None:
         except NotAQuadError:
             continue
     return None
+
+
+def identify_crop(
+    crop: GreyImage,
+    quad: np.ndarray,
+    warehouse_map: warehouse.WarehouseMap,
+    bank: ReferenceBank,
+    candidates: list[int],
+    cfg: PipelineConfig,
+) -> identify.IdentificationResult | None:
+    """Identify the sticker outlined by quad (crop pixels) without decoding it.
+
+    The smear is fitted with the first candidate as the probe, then every
+    candidate is scored in that view. None when the crop has no features.
+    """
+    feats = features.detect_and_describe(
+        crop, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
+    )
+    if len(feats) == 0:
+        return None
+    view = estimate_view(crop, feats, quad, warehouse_map.get(candidates[0]).payloads)
+    return identify.identify_sticker(
+        feats,
+        bank,
+        candidates,
+        view,
+        max_distance=cfg.identify_max_distance,
+        accept_min=cfg.accept_min,
+        margin_ratio=cfg.margin_ratio,
+    )
 
 
 def _pose_from_quad(
@@ -201,9 +231,10 @@ def process_frame(
         return LocalisationResult(frame_id, OUTCOME_NO_STICKER, timings_ms=clock.timings), state
 
     points = feats.positions[matches.scene_indices()]
-    merge_dist = cfg.merge_dist if cfg.merge_dist is not None else clustering.default_merge_dist(intr)
-    cluster_set = clustering.cluster_keypoints(points, merge_dist=merge_dist)
-    min_roi = cfg.roi_min_size_factor * 0.1 * intr.focal_px
+    cluster_set = clustering.cluster_keypoints(
+        points, merge_dist=clustering.default_merge_dist(intr)
+    )
+    min_roi = cfg.roi_min_size_factor * artwork.STICKER_SIZE_M * intr.focal_px
     rois = []
     for cluster in clustering.clusters_by_size(cluster_set):
         try:
@@ -231,7 +262,8 @@ def process_frame(
     for ctx in contexts:
         if ctx.corners is None:
             continue
-        for read in datamatrix.decode_roi_detail(ctx.crop, ctx.corners):
+        ctx.flat = datamatrix.rectify_quad(ctx.crop, ctx.corners, datamatrix.RECTIFIED_STICKER_PX)
+        for read in datamatrix.decode_roi_detail(ctx.flat):
             try:
                 sticker = warehouse.lookup_by_payload(warehouse_map, read.payload)
             except warehouse.UnknownPayloadError:
@@ -251,44 +283,24 @@ def process_frame(
         for ctx in contexts:
             if ctx.corners is None or not candidates:
                 continue
-            roi_feats = features.detect_and_describe(
-                ctx.crop,
-                max_features=cfg.identify_scene_features,
-                threshold=cfg.identify_threshold,
+            result = identify_crop(
+                ctx.crop, ctx.corners.corners, warehouse_map, bank, candidates, cfg
             )
-            if len(roi_feats) == 0:
-                continue
-            view = estimate_view(
-                ctx.crop,
-                roi_feats,
-                ctx.corners.corners,
-                warehouse_map.get(candidates[0]).payloads,
-            )
-            result = identify.identify_sticker(
-                roi_feats,
-                bank,
-                candidates,
-                max_distance=cfg.identify_max_distance,
-                accept_min=cfg.accept_min,
-                margin_ratio=cfg.margin_ratio,
-                view=view,
-            )
-            if result.accepted:
+            if result is not None and result.accepted:
                 sticker = warehouse_map.get(result.sticker_id)
                 chosen = ctx
                 method = METHOD_IDENTIFIED
                 break
     clock.lap("identify")
 
-    if sticker is None or chosen is None or chosen.corners is None:
+    if sticker is None or chosen is None or chosen.flat is None:
         return (
             LocalisationResult(frame_id, OUTCOME_DETECTED_UNREAD, timings_ms=clock.timings),
             state,
         )
 
-    flat = datamatrix.rectify_quad(chosen.crop, chosen.corners, datamatrix.RECTIFIED_STICKER_PX)
     turns = artwork.best_artwork_rotation(
-        flat, artwork.sticker_cells_from_payloads(list(sticker.payloads))
+        chosen.flat, artwork.sticker_cells_from_payloads(list(sticker.payloads))
     )
     frame_corners = chosen.corners.corners + (chosen.roi.x0, chosen.roi.y0)
     solved = _pose_from_quad(intr, sticker, frame_corners, turns, cfg.max_reprojection_rms)
@@ -326,21 +338,20 @@ def process_sequence(
     warehouse_map: warehouse.WarehouseMap,
     intr: CameraIntrinsics,
     bank: ReferenceBank,
-    config: PipelineConfig | None = None,
     fps: float = 10.0,
-    state: TrackerState = TrackerState(),
 ):
     """Process time-ordered frames, threading the tracker state; yields one result each.
 
-    A frame whose processing raises yields an `error` result carrying the
-    exception text, its traceback goes to stderr, and the stream continues.
+    The tracker starts empty. A frame whose processing raises yields an
+    `error` result carrying the exception text, its traceback goes to stderr,
+    and the stream continues.
     """
+    state = TrackerState()
     for index, img in enumerate(frames):
         timestamp = index / fps
         try:
             result, state = process_frame(
-                img, warehouse_map, intr, bank, state,
-                config=config, frame_id=index, timestamp=timestamp,
+                img, warehouse_map, intr, bank, state, frame_id=index, timestamp=timestamp
             )
         except Exception as exc:
             print(f"frame {index}:", file=sys.stderr)

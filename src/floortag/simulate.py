@@ -18,6 +18,9 @@ from .imaging import GreyImage, bilinear_sample
 from .warehouse import StickerSpec, WarehouseMap
 
 STICKER_TEXTURE_PX = 240
+FLOOR_LUMINANCE = 120.0
+OPTICS_SIGMA_PX = 0.6  # lens point-spread; keeps edges sub-pixel smooth
+BLUR_SAMPLES = 8  # camera positions averaged over one exposure
 
 
 class RenderGeometryError(ValueError):
@@ -31,20 +34,13 @@ class RenderConfig:
     heading: float = 0.0  # travel direction in the ground plane, radians
     noise_sigma: float = 2.0
     illumination: float = 1.0  # relative gain standing in for the 50-200 lux spread
-    background: float = 120.0  # floor luminance
-    optics_sigma: float = 0.6  # lens point-spread, pixels; keeps edges sub-pixel smooth
     seed: int | None = None
-    blur_samples: int = 8
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         if self.illumination <= 0:
             raise ValueError("illumination gain must be positive")
-        if self.optics_sigma < 0:
-            raise ValueError("optics_sigma must be non-negative")
-        if self.blur_samples < 1:
-            raise ValueError("blur_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,9 @@ def _check_camera(intr: CameraIntrinsics, pose: Pose) -> None:
         raise RenderGeometryError("optical axis does not intersect the ground")
 
 
-def _shade(intr: CameraIntrinsics, pose: Pose, warehouse_map: WarehouseMap,
-           background: float) -> np.ndarray:
+def _shade(intr: CameraIntrinsics, pose: Pose, warehouse_map: WarehouseMap) -> np.ndarray:
     gx, gy, depth, valid = _ground_intersections(intr, pose)
-    shade = np.full(gx.shape, background)
+    shade = np.full(gx.shape, FLOOR_LUMINANCE)
     size = artwork.STICKER_SIZE_M
     half = size / 2.0
     # Metres covered by one pixel at each ground point: sets the analytic
@@ -139,7 +134,7 @@ def _shade(intr: CameraIntrinsics, pose: Pose, warehouse_map: WarehouseMap,
         # Signed distance to the sticker outline in pixels; 1-px coverage ramp.
         dist_m = half - np.maximum(np.abs(sx[inside]), np.abs(sy[inside]))
         alpha = np.clip(dist_m / m_per_px[inside] + 0.5, 0.0, 1.0)
-        shade[inside] = background + alpha * (ink - background)
+        shade[inside] = FLOOR_LUMINANCE + alpha * (ink - FLOOR_LUMINANCE)
     return shade.reshape(intr.height, intr.width)
 
 
@@ -183,9 +178,8 @@ def render(
     if cfg.exposure_reciprocal is not None and cfg.velocity > 0:
         shade = _blur_stack(warehouse_map, intr, pose, cfg)
     else:
-        shade = _shade(intr, pose, warehouse_map, cfg.background)
-    if cfg.optics_sigma > 0:
-        shade = ndimage.gaussian_filter(shade, cfg.optics_sigma, mode="nearest")
+        shade = _shade(intr, pose, warehouse_map)
+    shade = ndimage.gaussian_filter(shade, OPTICS_SIGMA_PX, mode="nearest")
     shade = shade * cfg.illumination
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(cfg.seed)
@@ -201,11 +195,11 @@ def _blur_stack(
         raise ValueError("exposure_reciprocal must be positive for motion blur")
     travel = cfg.velocity / cfg.exposure_reciprocal
     direction = np.array([np.cos(cfg.heading), np.sin(cfg.heading), 0.0])
-    offsets = np.linspace(0.0, travel, cfg.blur_samples)
+    offsets = np.linspace(0.0, travel, BLUR_SAMPLES)
     acc = np.zeros((intr.height, intr.width))
     for off in offsets:
         shifted = Pose(pose.rotation, pose.translation - pose.rotation @ (direction * off))
-        acc += _shade(intr, shifted, warehouse_map, cfg.background)
+        acc += _shade(intr, shifted, warehouse_map)
     return acc / len(offsets)
 
 

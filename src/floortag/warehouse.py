@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,8 +31,8 @@ class StickerSpec:
         if self.payloads is None:
             object.__setattr__(self, "payloads", artwork.sticker_payloads(self.id))
 
-    def corners_world(self, size_m: float = artwork.STICKER_SIZE_M) -> np.ndarray:
-        return artwork.corners_world(self.world_x, self.world_y, self.yaw, size_m)
+    def corners_world(self) -> np.ndarray:
+        return artwork.corners_world(self.world_x, self.world_y, self.yaw)
 
 
 class WarehouseMap:
@@ -57,9 +58,6 @@ class WarehouseMap:
     def __iter__(self):
         return iter(self._by_id.values())
 
-    def __contains__(self, sticker_id: int) -> bool:
-        return sticker_id in self._by_id
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, WarehouseMap):
             return NotImplemented
@@ -84,7 +82,10 @@ def save_map(warehouse_map: WarehouseMap, path) -> None:
 
 
 def load_map(path) -> WarehouseMap:
-    """Parse the CSV map; errors carry the offending line number."""
+    """Parse the CSV map; errors carry the offending line number.
+
+    Ids must fit the payload's four digits and coordinates must be finite.
+    """
     stickers = []
     seen: dict[int, int] = {}
     with open(path) as fh:
@@ -102,6 +103,13 @@ def load_map(path) -> WarehouseMap:
             x, y, yaw = (float(v) for v in parts[1:])
         except ValueError as exc:
             raise MapFormatError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= sid <= artwork.MAX_STICKER_ID:
+            raise MapFormatError(
+                f"{path}:{lineno}: sticker id {sid} outside 0..{artwork.MAX_STICKER_ID}"
+            )
+        for name, value in zip(CSV_HEADER.split(",")[1:], (x, y, yaw)):
+            if not math.isfinite(value):
+                raise MapFormatError(f"{path}:{lineno}: {name} must be finite, got {value!r}")
         if sid in seen:
             raise MapFormatError(
                 f"{path}:{lineno}: duplicate sticker id {sid} (first seen line {seen[sid]})"

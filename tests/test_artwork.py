@@ -18,17 +18,6 @@ def test_payload_text_validation():
         artwork.payload_text(1, 4)
 
 
-def test_parse_payload_round_trip():
-    for sid, q in [(0, 0), (7, 2), (512, 3), (9999, 1)]:
-        assert artwork.parse_payload(artwork.payload_text(sid, q)) == (sid, q)
-
-
-def test_parse_payload_rejects_garbage():
-    for bad in ("", "12345", "1234567", "00070x", "000704"):
-        with pytest.raises(ValueError):
-            artwork.parse_payload(bad)
-
-
 def test_sticker_cells_layout():
     cells = artwork.sticker_cells(42)
     assert cells.shape == (30, 30)
@@ -50,7 +39,7 @@ def test_sticker_symbols_decode_to_quadrants():
         grid = cells[r0 : r0 + 10, c0 : c0 + 10]
         payload, rot = decode_bitmap(grid)
         assert rot == 0
-        assert artwork.parse_payload(payload.text) == (3, q)
+        assert payload.text == artwork.payload_text(3, q)
 
 
 def test_detection_reference_deterministic():
@@ -85,29 +74,6 @@ def test_corners_world_yaw():
     # Quarter-turn: a0 local (-h, +h) -> world (-h, -h) offset.
     assert np.allclose(c[0], [1.0 - 0.05, 2.0 - 0.05, 0.0])
     assert np.allclose(c[:, 2], 0.0)
-
-
-def test_quadrant_slot():
-    assert artwork.quadrant_slot(10, 10, 100) == 0
-    assert artwork.quadrant_slot(90, 10, 100) == 1
-    assert artwork.quadrant_slot(10, 90, 100) == 2
-    assert artwork.quadrant_slot(90, 90, 100) == 3
-
-
-def test_rotate_slot_cycles():
-    # One CCW turn sends top-left to bottom-left.
-    assert artwork.rotate_slot(0, 1) == 2
-    assert artwork.rotate_slot(1, 1) == 0
-    assert artwork.rotate_slot(3, 1) == 1
-    assert artwork.rotate_slot(2, 1) == 3
-    for s in range(4):
-        assert artwork.rotate_slot(s, 4) == s
-
-
-def test_artwork_turns_inverse_of_rotation():
-    for rot in range(4):
-        m = artwork.artwork_turns_from_decode(rot)
-        assert (m + rot) % 4 == 0
 
 
 def test_best_artwork_rotation_identifies_turns():

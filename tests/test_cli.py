@@ -166,6 +166,23 @@ def test_identify_without_outline_is_an_error(tmp_path, capsys):
     assert "error: no sticker outline found" in err
 
 
+def test_identify_without_features_is_an_error(tmp_path, capsys):
+    # A plain 24 px square: a quad outline, but its corners sit within the
+    # feature margin of the crop around it, so the crop has no features.
+    map_path = tmp_path / "map.csv"
+    run(capsys, ["gen-map", "--rows", "2", "--cols", "2", "--pitch", "1.0", "--out", str(map_path)])
+    px = np.full((200, 200), 120, dtype=np.uint8)
+    px[80:104, 80:104] = 20
+    square = tmp_path / "square.pgm"
+    save_pgm(GreyImage(px), square)
+    code, out, err = run(capsys, [
+        "identify", "--map", str(map_path), "--image", str(square), "--binning", "4",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "error: no features around the sticker outline" in err
+
+
 def test_readme_usage_lists_every_command():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = set(re.findall(r"^floortag ([a-z-]+)", readme, flags=re.MULTILINE))

@@ -53,14 +53,14 @@ def test_three_clouds_with_capped_clusters():
     )
     cs = cluster_keypoints(pts, merge_dist=150)
     assert len(cs) == 3
-    assert cs.total_members() == 90
+    assert sum(len(c) for c in cs.clusters) == 90
 
 
 def test_membership_preserved_through_merging():
     rng = np.random.default_rng(4)
     pts = disc(rng, (400, 300), 120, 77)
     cs = cluster_keypoints(pts, merge_dist=500)
-    assert cs.total_members() == 77
+    assert sum(len(c) for c in cs.clusters) == 77
     all_members = np.concatenate([c.members for c in cs.clusters])
     assert sorted(all_members.tolist()) == list(range(77))
 
@@ -149,4 +149,4 @@ def test_default_merge_dist_scales_with_camera():
     intr = CameraIntrinsics.reference_camera(binning=2)
     d = default_merge_dist(intr)
     assert d == pytest.approx(1.5 * 0.1 * intr.focal_px)
-    assert default_merge_dist(intr, viewing_distance_m=2.0) == pytest.approx(d / 2)
+    assert default_merge_dist(CameraIntrinsics.reference_camera()) == pytest.approx(2 * d)

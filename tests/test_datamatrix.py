@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from floortag import datamatrix
 from floortag.datamatrix import (
+    RECTIFIED_STICKER_PX,
     Codewords,
     EncodingError,
     SymbolBitmap,
@@ -127,7 +128,7 @@ def test_rs_decode_clean():
     p = rs_decode(cw)
     assert p.data == encode_text("042")
     assert p.text == "042"
-    assert p.errors_corrected == 0 and p.erasures_corrected == 0
+    assert p.errors_corrected == 0
 
 
 def test_rs_decode_single_error_exhaustive():
@@ -167,28 +168,6 @@ def test_rs_decode_three_errors_always_detected():
             corrupted[q] ^= int(rng.integers(1, 256))
         with pytest.raises(UncorrectableError):
             rs_decode(bytes(corrupted))
-
-
-def test_rs_decode_erasures():
-    cw = rs_encode(encode_text("555"))
-    corrupted = bytearray(cw.full)
-    corrupted[1] = 0
-    corrupted[5] = 0
-    corrupted[7] = 0
-    p = rs_decode(bytes(corrupted), erasure_positions=(1, 5, 7))
-    assert p.text == "555"
-    assert p.erasures_corrected == 3
-
-
-def test_rs_decode_erasures_plus_error():
-    cw = rs_encode(encode_text("918273"))
-    corrupted = bytearray(cw.full)
-    corrupted[0] ^= 0x3C
-    corrupted[4] = 0x11
-    corrupted[6] = 0x22
-    # 2 erasures + 1 error: 2*1 + 2 <= 5.
-    p = rs_decode(bytes(corrupted), erasure_positions=(4, 6))
-    assert p.text == "918273"
 
 
 def test_codewords_validation():
@@ -311,8 +290,8 @@ def test_decode_roi_rectified_tilt():
     out.ravel()[inside] = vals[inside]
     warped = GreyImage.from_float(out)
 
-    corners = QuadCorners(quad)
-    payloads = decode_roi(warped, corners)
+    flat = rectify_quad(warped, QuadCorners(quad), RECTIFIED_STICKER_PX)
+    payloads = decode_roi(flat)
     assert "424242" in [p.text for p in payloads]
 
 
@@ -434,7 +413,7 @@ def test_convex_hull_matches_monotone_chain_on_traced_blobs(blob):
 
 def test_degenerate_outline_is_no_exception():
     # A 1-px line and a single pixel: no contour has an area, and none may
-    # raise anything but the ValueError that _direct_reads skips.
+    # raise anything but the ValueError that decode_roi_detail skips.
     px = np.full((60, 60), 220, dtype=np.uint8)
     px[20, 5:50] = 20
     px[40, 30] = 20

@@ -12,7 +12,6 @@ from floortag.geometry import (
     load_intrinsics,
     look_at_pose,
     pose_from_homography,
-    project,
     project_homogeneous,
     project_many,
     projection_matrix,
@@ -72,15 +71,18 @@ def test_pose_rejects_non_orthonormal():
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
+IDENTITY = Pose(np.eye(3), np.zeros(3))
+
+
 def test_project_principal_point():
     intr = CameraIntrinsics.reference_camera()
-    uv = project(intr, Pose.identity(), (0.0, 0.0, 1.0))
+    (uv,) = project_many(intr, IDENTITY, (0.0, 0.0, 1.0))
     assert uv == pytest.approx([intr.cu, intr.cv])
 
 
 def test_project_similar_triangles():
     intr = CameraIntrinsics.reference_camera()
-    uv = project(intr, Pose.identity(), (0.1, 0.0, 1.0))
+    (uv,) = project_many(intr, IDENTITY, (0.1, 0.0, 1.0))
     assert uv[0] == pytest.approx(intr.cu + 0.1 * intr.f * intr.ku)
     assert uv[1] == pytest.approx(intr.cv)
 
@@ -88,7 +90,7 @@ def test_project_similar_triangles():
 def test_project_behind_camera_raises():
     intr = CameraIntrinsics.reference_camera()
     with pytest.raises(BehindCameraError):
-        project(intr, Pose.identity(), (0.0, 0.0, -1.0))
+        project_many(intr, IDENTITY, (0.0, 0.0, -1.0))
 
 
 def test_project_matches_expanded_matrix_product():
@@ -103,7 +105,7 @@ def test_project_matches_expanded_matrix_product():
         expected = k @ f @ t @ np.append(point, 1.0)
         got = project_homogeneous(intr, pose, point)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
-        assert got[:2] / got[2] == pytest.approx(project(intr, pose, point), rel=1e-12)
+        assert got[:2] / got[2] == pytest.approx(project_many(intr, pose, point)[0], rel=1e-12)
 
 
 def test_homography_identity():
@@ -264,7 +266,7 @@ def test_returned_poses_satisfy_invariants():
 def test_downward_pose_looks_down():
     pose = downward_camera_pose((0.5, 0.2, 1.0))
     intr = CameraIntrinsics.reference_camera()
-    uv = project(intr, pose, (0.5, 0.2, 0.0))
+    (uv,) = project_many(intr, pose, (0.5, 0.2, 0.0))
     assert uv == pytest.approx([intr.cu, intr.cv])
 
 

@@ -32,8 +32,8 @@ def bank(small_map):
 
 
 def test_reference_sizes_follow_intrinsics():
-    sizes = reference_sizes(INTR, heights=(1.0,))
-    assert sizes == (int(round(0.1 * INTR.focal_px)),)
+    sizes = reference_sizes(INTR)
+    assert sizes == tuple(int(round(0.1 * INTR.focal_px / h)) for h in (0.75, 0.95, 1.2, 1.5))
 
 
 def _rendered_scene(sticker_id, position, spin, seed):

@@ -6,7 +6,6 @@ from floortag.bench import sample_camera_pose
 from floortag.geometry import CameraIntrinsics, camera_world_position
 from floortag.imaging import (
     Contour,
-    FixedThreshold,
     GreyImage,
     MeanOffset,
     NotAQuadError,
@@ -78,13 +77,6 @@ def test_pgm_allows_comment(tmp_path):
     path.write_bytes(b"P5\n# made by hand\n2 1\n255\n\x05\x09")
     img = load_pgm(path)
     assert img.pixels.tolist() == [[5, 9]]
-
-
-def test_binarize_fixed_extremes():
-    zeros = GreyImage(np.zeros((5, 5), dtype=np.uint8))
-    full = GreyImage(np.full((5, 5), 255, dtype=np.uint8))
-    assert np.all(binarize(zeros, FixedThreshold(128)).pixels == 0)
-    assert np.all(binarize(full, FixedThreshold(128)).pixels == 255)
 
 
 def test_binarize_mean_offset_rejects_even_window():
@@ -278,11 +270,16 @@ def sticker_frames():
 
 
 def assert_corners_match_oracle(img: GreyImage, half_width: float) -> dict[str, int]:
-    """Compare every outline's corners and every edge's refined points with the reference."""
+    """Compare every outline's corners with the reference, then each edge's points at half_width.
+
+    extract_quad_corners refines at PROFILE_HALF_WIDTH; the edge points it
+    refined are then refined again by the kernel and the reference at half_width.
+    """
     px = img.to_float()
     edges = []
 
     def recording_oracle(px, pts, normal, hw):
+        assert hw == imaging.PROFILE_HALF_WIDTH
         edges.append((pts.copy(), normal.copy()))
         return oracle_refine_edge(px, pts, normal, hw)
 
@@ -293,11 +290,11 @@ def assert_corners_match_oracle(img: GreyImage, half_width: float) -> dict[str, 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(imaging, "_refine_edge", recording_oracle)
             try:
-                want = extract_quad_corners(contour, img, half_width).corners
+                want = extract_quad_corners(contour, img).corners
             except NotAQuadError:
                 want = None
         try:
-            got = extract_quad_corners(contour, img, half_width).corners
+            got = extract_quad_corners(contour, img).corners
         except NotAQuadError:
             got = None
         assert (got is None) == (want is None)

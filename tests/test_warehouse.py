@@ -51,6 +51,26 @@ def test_load_reports_parse_error_line(tmp_path):
         load_map(path)
 
 
+@pytest.mark.parametrize("sid", [10000, -1])
+def test_load_rejects_id_outside_payload_range(tmp_path, sid):
+    path = tmp_path / "ids.csv"
+    path.write_text(f"id,x_m,y_m,yaw_rad\n1,0,0,0\n{sid},1,0,0\n")
+    with pytest.raises(MapFormatError, match=f":3: sticker id {sid} outside 0..9999"):
+        load_map(path)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_values(tmp_path, column, value):
+    fields = ["2", "1.0", "0.0", "0.0"]
+    fields[column] = value
+    path = tmp_path / "finite.csv"
+    path.write_text("id,x_m,y_m,yaw_rad\n1,0,0,0\n" + ",".join(fields) + "\n")
+    name = ["id", "x_m", "y_m", "yaw_rad"][column]
+    with pytest.raises(MapFormatError, match=f":3: {name} must be finite"):
+        load_map(path)
+
+
 def test_load_requires_header(tmp_path):
     path = tmp_path / "nohdr.csv"
     path.write_text("1,0,0,0\n")
