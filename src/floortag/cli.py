@@ -124,12 +124,21 @@ def _cmd_localize_stream(args) -> int:
 
 def _cmd_identify(args) -> int:
     wmap = load_map(args.map)
-    intr = _intrinsics_from_args(args)
-    bank = ReferenceBank.build(wmap, intr)
-    img = load_pgm(args.image)
     candidates = (
         [int(v) for v in args.candidates.split(",")] if args.candidates else wmap.ids
     )
+    if not candidates:
+        print(f"error: the map {args.map} holds no stickers", file=sys.stderr)
+        return 1
+    known = set(wmap.ids)
+    unknown = [sid for sid in candidates if sid not in known]
+    if unknown:
+        listed = ", ".join(str(sid) for sid in unknown)
+        print(f"error: candidate ids not in the map: {listed}", file=sys.stderr)
+        return 1
+    intr = _intrinsics_from_args(args)
+    bank = ReferenceBank.build(wmap, intr)
+    img = load_pgm(args.image)
     cfg = PipelineConfig()
     corners = extract_corners(img, cfg.min_contour_area)
     if corners is None:

@@ -8,6 +8,7 @@ coordinates is -R^T t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ REFERENCE_SENSOR_H = 1944
 
 class BehindCameraError(ValueError):
     pass
+
+
+class IntrinsicsFormatError(ValueError):
+    """A malformed intrinsics file; the message names the file and line."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,8 @@ class CameraIntrinsics:
         skew: float = 0.0,
     ) -> "CameraIntrinsics":
         """Square-pixel camera: magnification factors are 1/pixel_pitch."""
+        if pixel_pitch_m <= 0:
+            raise ValueError("pixel pitch must be positive")
         k = 1.0 / pixel_pitch_m
         return cls(
             ku=k,
@@ -100,28 +107,47 @@ def save_intrinsics(intr: CameraIntrinsics, path) -> None:
 
 
 def load_intrinsics(path) -> CameraIntrinsics:
-    """Read `key = value` intrinsics; missing keys fall back to the reference camera."""
+    """Read `key = value` intrinsics; missing keys fall back to the reference camera.
+
+    Values must be finite numbers, and width and height whole numbers. A
+    malformed file raises IntrinsicsFormatError naming the file and line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise IntrinsicsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip()] = float(val.strip())
-    width = int(values.get("width", REFERENCE_SENSOR_W))
-    height = int(values.get("height", REFERENCE_SENSOR_H))
-    return CameraIntrinsics.from_physical(
-        focal_m=values.get("focal_m", REFERENCE_FOCAL_M),
-        pixel_pitch_m=values.get("pixel_pitch_m", REFERENCE_PIXEL_PITCH_M),
-        width=width,
-        height=height,
-        cu=values.get("cu_px"),
-        cv=values.get("cv_px"),
-        skew=values.get("skew", 0.0),
-    )
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if not sep:
+            raise IntrinsicsFormatError(f"{path}:{lineno}: expected 'key = value'")
+        where = f"{path}:{lineno}: {key}"
+        try:
+            value = float(text)
+        except ValueError:
+            raise IntrinsicsFormatError(f"{where} is not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise IntrinsicsFormatError(f"{where} must be finite, got {text!r}")
+        if key in ("width", "height") and not value.is_integer():
+            raise IntrinsicsFormatError(f"{where} must be a whole number, got {text!r}")
+        values[key] = value
+    try:
+        return CameraIntrinsics.from_physical(
+            focal_m=values.get("focal_m", REFERENCE_FOCAL_M),
+            pixel_pitch_m=values.get("pixel_pitch_m", REFERENCE_PIXEL_PITCH_M),
+            width=int(values.get("width", REFERENCE_SENSOR_W)),
+            height=int(values.get("height", REFERENCE_SENSOR_H)),
+            cu=values.get("cu_px"),
+            cv=values.get("cv_px"),
+            skew=values.get("skew", 0.0),
+        )
+    except ValueError as exc:
+        raise IntrinsicsFormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ class RenderGeometryError(ValueError):
     pass
 
 
+class TruthFormatError(ValueError):
+    """A malformed truth sidecar; the message names the file and line."""
+
+
 @dataclass(frozen=True)
 class RenderConfig:
     exposure_reciprocal: float | None = None  # N, 1/s; None renders a sharp frame
@@ -230,22 +234,55 @@ def save_truth(truth: GroundTruth, pose: Pose, path) -> None:
 
 
 def load_truth(path) -> tuple[np.ndarray, GroundTruth]:
+    """Read a sidecar written by save_truth: the camera centre and the visible stickers.
+
+    It needs one `camera` line of 3 finite numbers; each `sticker` line holds
+    an integer id and 8 finite corner coordinates. A malformed file raises
+    TruthFormatError naming the file and line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise TruthFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     camera = None
     visible = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "camera":
-                camera = np.array([float(v) for v in parts[1:4]])
-            elif parts[0] == "sticker":
-                vals = np.array([float(v) for v in parts[2:10]]).reshape(4, 2)
-                visible.append(StickerTruth(int(parts[1]), vals))
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        if parts[0] == "camera":
+            if camera is not None:
+                raise TruthFormatError(f"{where}: second camera line")
+            camera = _finite_numbers(parts[1:], 3, where)
+        elif parts[0] == "sticker":
+            if len(parts) < 2:
+                raise TruthFormatError(f"{where}: sticker line without an id")
+            try:
+                sticker_id = int(parts[1])
+            except ValueError:
+                message = f"{where}: sticker id {parts[1]!r} is not an integer"
+                raise TruthFormatError(message) from None
+            corners = _finite_numbers(parts[2:], 8, where).reshape(4, 2)
+            visible.append(StickerTruth(sticker_id, corners))
+        else:
+            raise TruthFormatError(f"{where}: unknown record {parts[0]!r}")
     if camera is None:
-        raise ValueError(f"{path}: missing camera line")
+        raise TruthFormatError(f"{path}: missing camera line")
     return camera, GroundTruth(visible)
+
+
+def _finite_numbers(fields: list[str], count: int, where: str) -> np.ndarray:
+    if len(fields) != count:
+        raise TruthFormatError(f"{where}: expected {count} numbers, got {len(fields)}")
+    try:
+        values = np.array([float(v) for v in fields])
+    except ValueError as exc:
+        raise TruthFormatError(f"{where}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise TruthFormatError(f"{where}: values must be finite")
+    return values
 
 
 def single_sticker_map(sticker: StickerSpec | None = None) -> WarehouseMap:

@@ -88,8 +88,11 @@ def load_map(path) -> WarehouseMap:
     """
     stickers = []
     seen: dict[int, int] = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise MapFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines or lines[0].strip() != CSV_HEADER:
         raise MapFormatError(f"{path}:1: expected header {CSV_HEADER!r}")
     for lineno, line in enumerate(lines[1:], start=2):

@@ -183,6 +183,42 @@ def test_identify_without_features_is_an_error(tmp_path, capsys):
     assert "error: no features around the sticker outline" in err
 
 
+@pytest.fixture(scope="module")
+def sticker_frame(tmp_path_factory):
+    """A binning-4 frame over sticker 4 of a 2x2 map: an outline with features around it."""
+    root = tmp_path_factory.mktemp("identify")
+    map_path = root / "map.csv"
+    frame = root / "frame.pgm"
+    assert main(["gen-map", "--rows", "2", "--cols", "2", "--pitch", "1.0",
+                 "--out", str(map_path)]) == 0
+    assert main(["render", "--map", str(map_path), "--pose", "1.02,0.98,0.8,0.05,0,0.7",
+                 "--binning", "4", "--seed", "4", "--out", str(frame)]) == 0
+    return map_path, frame
+
+
+def test_identify_with_an_empty_map_is_an_error(sticker_frame, tmp_path, capsys):
+    _, frame = sticker_frame
+    empty = tmp_path / "empty.csv"
+    empty.write_text("id,x_m,y_m,yaw_rad\n")
+    code, out, err = run(capsys, [
+        "identify", "--map", str(empty), "--image", str(frame), "--binning", "4",
+    ])
+    assert code == 1
+    assert out == ""
+    assert f"error: the map {empty} holds no stickers" in err
+
+
+def test_identify_names_candidates_missing_from_the_map(sticker_frame, capsys):
+    map_path, frame = sticker_frame
+    code, out, err = run(capsys, [
+        "identify", "--map", str(map_path), "--image", str(frame), "--binning", "4",
+        "--candidates", "4,99,7",
+    ])
+    assert code == 1
+    assert out == ""
+    assert "error: candidate ids not in the map: 99, 7" in err
+
+
 def test_readme_usage_lists_every_command():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = set(re.findall(r"^floortag ([a-z-]+)", readme, flags=re.MULTILINE))

@@ -4,6 +4,7 @@ import pytest
 from floortag.geometry import (
     BehindCameraError,
     CameraIntrinsics,
+    IntrinsicsFormatError,
     Pose,
     apply_pose_update,
     camera_world_position,
@@ -62,6 +63,32 @@ def test_intrinsics_file_round_trip(tmp_path):
     save_intrinsics(intr, path)
     back = load_intrinsics(path)
     assert back == intr
+
+
+@pytest.mark.parametrize("line,message", [
+    ("focal_m = 3.6 mm", ":3: focal_m is not a number: '3.6 mm'"),
+    ("skew = nan", ":3: skew must be finite, got 'nan'"),
+    ("cu_px = -inf", ":3: cu_px must be finite, got '-inf'"),
+    ("width = 1296.5", ":3: width must be a whole number, got '1296.5'"),
+    ("height = 970.25", ":3: height must be a whole number, got '970.25'"),
+    ("focal_m", ":3: expected 'key = value'"),
+])
+def test_intrinsics_file_rejects_a_malformed_line(tmp_path, line, message):
+    path = tmp_path / "cam.txt"
+    path.write_text(f"# camera\nwidth = 1296\n{line}\n")
+    with pytest.raises(IntrinsicsFormatError) as exc:
+        load_intrinsics(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_intrinsics_file_rejects_an_impossible_camera(tmp_path):
+    path = tmp_path / "cam.txt"
+    path.write_text("pixel_pitch_m = 0\n")
+    with pytest.raises(IntrinsicsFormatError, match="pixel pitch must be positive"):
+        load_intrinsics(path)
+    path.write_text("width = 0\n")
+    with pytest.raises(IntrinsicsFormatError, match="principal point outside sensor"):
+        load_intrinsics(path)
 
 
 def test_pose_rejects_non_orthonormal():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
-from floortag import imaging
+from floortag import datamatrix, imaging, pipeline
 from floortag.bench import sample_camera_pose
 from floortag.geometry import CameraIntrinsics, camera_world_position
+from floortag.identify import ReferenceBank
 from floortag.imaging import (
     Contour,
     GreyImage,
@@ -147,6 +152,192 @@ def test_trace_contours_ring_outer_only():
     contours = trace_contours(GreyImage(arr))
     assert len(contours) == 1
     assert contours[0].area() == pytest.approx(19 * 19)
+
+
+# Reference tracer: the Moore-neighbour walk scanning up to 8 neighbours per
+# step, one component at a time. trace_contours must reproduce its contours
+# point for point and in the same order.
+def oracle_trace_boundary(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
+    """Moore-neighbour boundary walk of one component from its topmost-leftmost pixel."""
+    h, w = mask.shape
+    sy, sx = start
+    points = [(sx, sy)]
+    cy, cx = sy, sx
+    back = 0  # west of the topmost-leftmost pixel is guaranteed background
+    first_state = None
+    max_steps = 4 * int(mask.sum()) + 8
+    for _ in range(max_steps):
+        found = -1
+        for k in range(8):
+            d = (back + 1 + k) % 8
+            dy, dx = imaging._MOORE[d]
+            ny, nx = cy + dy, cx + dx
+            if 0 <= ny < h and 0 <= nx < w and mask[ny, nx]:
+                found = d
+                break
+        if found < 0:
+            return points  # isolated pixel
+        state = (cy, cx, found)
+        if first_state is None:
+            first_state = state
+        elif state == first_state:
+            return points[:-1]
+        cy, cx = cy + imaging._MOORE[found][0], cx + imaging._MOORE[found][1]
+        points.append((cx, cy))
+        # New backtrack: the last background cell scanned, seen from the new pixel.
+        back = ((found // 2) * 2 + 6) % 8
+    return points
+
+
+def oracle_trace_contours(binary: GreyImage) -> list[Contour]:
+    px = binary.pixels
+    if not np.all(np.isin(np.unique(px), (0, 255))):
+        raise ValueError("input is not binary (values must be 0 or 255)")
+    mask = px == 0
+    if not mask.any():
+        return []
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=np.int8))
+    contours = []
+    slices = ndimage.find_objects(labels)
+    for idx in range(1, count + 1):
+        sl = slices[idx - 1]
+        sub = labels[sl] == idx
+        ys, xs = np.nonzero(sub)
+        order = np.lexsort((xs, ys))  # topmost, then leftmost
+        pts = oracle_trace_boundary(sub, (int(ys[order[0]]), int(xs[order[0]])))
+        if len(pts) < 4:
+            continue
+        off = (sl[1].start, sl[0].start)
+        contours.append(Contour(np.array(pts, dtype=np.int64) + off))
+    contours.sort(key=lambda c: -c.area())
+    return contours
+
+
+def assert_traces_like_oracle(mask: np.ndarray) -> list[Contour]:
+    binary = GreyImage(np.where(mask, 0, 255).astype(np.uint8))
+    got = trace_contours(binary)
+    want = oracle_trace_contours(binary)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.points, w.points)
+    return got
+
+
+def _mask(rows: list[str]) -> np.ndarray:
+    return np.array([[ch == "#" for ch in row] for row in rows])
+
+
+HAND_MADE_MASKS = {
+    "touches_every_edge": _mask([
+        "####..#####",
+        "#.........#",
+        "#..........",
+        "...........",
+        "##.......##",
+        "###..###.##",
+    ]),
+    "full_image": np.ones((5, 4), dtype=bool),
+    "spurs": _mask([
+        ".........",
+        "....#....",
+        "..#####..",
+        "..#####.#",
+        "########.",
+        "..#####..",
+        "....#....",
+        "....#....",
+    ]),
+    "diagonal_links_only": _mask([
+        "#.......",
+        ".#...#..",
+        "..#.#...",
+        "...#....",
+        "..#.#..#",
+        ".#...##.",
+    ]),
+    "rings_with_holes": _mask([
+        "##########..",
+        "#........#..",
+        "#.######.#..",
+        "#.#....#.#..",
+        "#.#.##.#.###",
+        "#.#....#.#.#",
+        "#.######.###",
+        "##########..",
+    ]),
+    "u_with_top_row_arms": _mask([
+        "#....#...#.#",
+        "#....#...#.#",
+        "#....#...###",
+        "######......",
+    ]),
+    "isolated_pixels": _mask([
+        "#.#.#",
+        ".....",
+        "..#..",
+        ".....",
+        "#...#",
+    ]),
+    "one_pixel": np.ones((1, 1), dtype=bool),
+    "one_row": _mask(["##.###.#.####"]),
+    "one_column": _mask(["##.###.#.####"]).T.copy(),
+    "two_rows": _mask([".##.#..###", "##..##.#.#"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_MADE_MASKS))
+def test_trace_contours_matches_oracle_on_hand_made_masks(name):
+    contours = assert_traces_like_oracle(HAND_MADE_MASKS[name])
+    # Lone pixels are dropped; every other case must trace something.
+    assert (len(contours) == 0) == (name in ("isolated_pixels", "one_pixel"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(
+        np.bool_,
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        elements=st.booleans(),
+    )
+)
+def test_trace_contours_matches_oracle_on_random_masks(mask):
+    assert_traces_like_oracle(mask)
+
+
+@pytest.fixture(scope="module")
+def pipeline_binaries(sticker_frames):
+    """Every binary the decode stage traces in a sharp and a 10 px-smeared frame.
+
+    Identification is switched off: it traces nothing, and on the smeared
+    frame it would dominate the run time.
+    """
+    intr = CameraIntrinsics.reference_camera(binning=2)
+    wmap = generate_grid_map(3, 3, 1.0)
+    bank = ReferenceBank.build(wmap, intr)
+    seen: dict[str, list[GreyImage]] = {}
+    for kind, frame in sticker_frames.items():
+        binaries = seen.setdefault(kind, [])
+
+        def recording(binary):
+            binaries.append(binary)
+            return trace_contours(binary)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "trace_contours", recording)
+            mp.setattr(datamatrix, "trace_contours", recording)
+            mp.setattr(pipeline, "identify_crop", lambda *args: None)
+            pipeline.process_frame(frame, wmap, intr, bank)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smeared"])
+def test_trace_contours_matches_oracle_on_pipeline_binaries(pipeline_binaries, kind):
+    binaries = pipeline_binaries[kind]
+    # The ROI outlines and, where a quad was found, the rectified sticker.
+    assert len(binaries) >= 2
+    assert any(b.width == b.height == datamatrix.RECTIFIED_STICKER_PX for b in binaries)
+    for binary in binaries:
+        assert_traces_like_oracle(binary.pixels == 0)
 
 
 def test_quad_corners_axis_aligned_square():

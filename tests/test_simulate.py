@@ -6,6 +6,7 @@ from floortag.simulate import (
     GroundTruth,
     RenderConfig,
     RenderGeometryError,
+    TruthFormatError,
     blur_length_px,
     exposure_for_blur_px,
     load_truth,
@@ -126,6 +127,31 @@ def test_truth_sidecar_round_trip(tmp_path):
     assert np.allclose(camera, [0.1, 0.1, 1.0])
     assert loaded.visible_ids == truth.visible_ids
     assert np.allclose(loaded.corners_of(3), truth.corners_of(3))
+
+
+CAMERA = "camera 0.1 0.1 1.0"
+CORNERS = "1 2 3 4 5 6 7 8"
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["camera 0.5"], ":2: expected 3 numbers, got 1"),
+    (["camera 0.1 0.1 1.0 2.0"], ":2: expected 3 numbers, got 4"),
+    (["camera 0.1 x 1.0"], ":2: could not convert string to float: 'x'"),
+    (["camera 0.1 0.1 inf"], ":2: values must be finite"),
+    ([CAMERA, CAMERA], ":3: second camera line"),
+    ([CAMERA, "sticker"], ":3: sticker line without an id"),
+    ([CAMERA, f"sticker 3.5 {CORNERS}"], ":3: sticker id '3.5' is not an integer"),
+    ([CAMERA, "sticker 3 1 2 3 4 5 6 7"], ":3: expected 8 numbers, got 7"),
+    ([CAMERA, "sticker 3 1 2 3 4 5 6 7 nan"], ":3: values must be finite"),
+    ([CAMERA, f"marker 3 {CORNERS}"], ":3: unknown record 'marker'"),
+    ([f"sticker 3 {CORNERS}"], ": missing camera line"),
+])
+def test_truth_sidecar_rejects_a_malformed_file(tmp_path, lines, message):
+    path = tmp_path / "frame.truth"
+    path.write_text("\n".join(["# floortag truth v1", *lines]) + "\n")
+    with pytest.raises(TruthFormatError) as exc:
+        load_truth(path)
+    assert str(exc.value) == f"{path}{message}"
 
 
 def test_ground_truth_lookup_missing():

@@ -51,6 +51,14 @@ def test_load_reports_parse_error_line(tmp_path):
         load_map(path)
 
 
+def test_load_counts_lines_at_newlines_only(tmp_path):
+    # A form feed inside a line must not shift the line number of later errors.
+    path = tmp_path / "ff.csv"
+    path.write_text("id,x_m,y_m,yaw_rad\n1,0,0,0\x0c\n2,1,0\n")
+    with pytest.raises(MapFormatError, match=":3: expected 4 fields"):
+        load_map(path)
+
+
 @pytest.mark.parametrize("sid", [10000, -1])
 def test_load_rejects_id_outside_payload_range(tmp_path, sid):
     path = tmp_path / "ids.csv"
