@@ -113,21 +113,28 @@ def local_to_artwork_uv(sx: np.ndarray, sy: np.ndarray):
     return u, v
 
 
+def _block_means(px: np.ndarray, n: int) -> np.ndarray:
+    """Means of an n x n grid of blocks cut at the int(linspace) edges.
+
+    Where two edges coincide (fewer than n pixels) the block is the single
+    row or column at that edge. The sums are whole numbers, so they are exact.
+    """
+    h, w = px.shape
+    rows = np.linspace(0, h, n + 1).astype(int)
+    cols = np.linspace(0, w, n + 1).astype(int)
+    band_sums = np.add.reduceat(px, rows[:-1], axis=0, dtype=np.int64)
+    sums = np.add.reduceat(band_sums, cols[:-1], axis=1)
+    counts = np.outer(np.maximum(np.diff(rows), 1), np.maximum(np.diff(cols), 1))
+    return sums / counts
+
+
 def best_artwork_rotation(rectified: GreyImage, cells: np.ndarray) -> int:
     """CCW quarter turns m maximising correlation of the view with rot90(artwork, m).
 
     Works on a coarse grid so it stays usable under heavy motion blur.
     """
     coarse = 15
-    px = rectified.to_float()
-    h, w = px.shape
-    ys = np.linspace(0, h, coarse + 1)
-    xs = np.linspace(0, w, coarse + 1)
-    obs = np.zeros((coarse, coarse))
-    for i in range(coarse):
-        for j in range(coarse):
-            obs[i, j] = px[int(ys[i]) : max(int(ys[i + 1]), int(ys[i]) + 1),
-                           int(xs[j]) : max(int(xs[j + 1]), int(xs[j]) + 1)].mean()
+    obs = _block_means(rectified.pixels, coarse)
     obs = obs - obs.mean()
     denom = np.linalg.norm(obs)
     if denom < 1e-9:

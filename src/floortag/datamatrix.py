@@ -2,6 +2,9 @@
 
 Galois field GF(256) with the Data Matrix polynomial x^8+x^5+x^3+x^2+1 and
 generator roots alpha^1..alpha^5. Only the 10x10 size is supported.
+
+A sticker carries four symbols with the same id, so decoding a sticker reads
+one symbol: `decode_roi_detail` stops at the first that decodes.
 """
 
 from __future__ import annotations
@@ -546,13 +549,17 @@ MIN_SYMBOL_SIDE_PX = 12.0
 
 
 def decode_roi_detail(roi_img: GreyImage) -> list[SymbolRead]:
-    """Every symbol read in the image: a rectified sticker (see rectify_quad) or a crop."""
+    """The first symbol read in the image: a rectified sticker (see rectify_quad) or a crop.
+
+    Contours are tried largest first; the first that passes the size and
+    aspect tests and decodes ends the search. Every symbol of a sticker
+    carries its id, so one read identifies it. Returns [] or a one-read list.
+    """
     if roi_img.width < 40 or roi_img.height < 40:
         raise ValueError("ROI must be at least 40x40 pixels")
     px = roi_img.to_float()
     threshold = otsu_threshold(roi_img.pixels)
     binary = GreyImage(np.where(px < threshold, 0, 255).astype(np.uint8))
-    reads: list[SymbolRead] = []
     for contour in trace_contours(binary):
         if contour.area() < MIN_SYMBOL_SIDE_PX * MIN_SYMBOL_SIDE_PX * 0.3:
             continue
@@ -568,10 +575,10 @@ def decode_roi_detail(roi_img: GreyImage) -> list[SymbolRead]:
         grid = _grid_from_quad(px, quad, threshold)
         result = decode_bitmap(grid)
         if result is not None:
-            reads.append(SymbolRead(result[0]))
-    return reads
+            return [SymbolRead(result[0])]
+    return []
 
 
 def decode_roi(roi_img: GreyImage) -> list[Payload]:
-    """All successfully decoded symbol payloads in the ROI (possibly empty)."""
+    """The payload of the first symbol decoded in the ROI, as a list of at most one."""
     return [read.payload for read in decode_roi_detail(roi_img)]

@@ -290,13 +290,19 @@ def detect_and_describe(
 
 def _distance_matrix(ref: np.ndarray, scene: np.ndarray) -> np.ndarray:
     ref_words = np.ascontiguousarray(ref).view(np.uint64)
-    scene_words = np.ascontiguousarray(scene).view(np.uint64)
-    out = np.empty((len(ref), len(scene)), dtype=np.uint16)
+    # One contiguous row per descriptor word: scene_cols[k] is word k of every scene descriptor.
+    scene_cols = np.ascontiguousarray(np.ascontiguousarray(scene).view(np.uint64).T)
+    out = np.zeros((len(ref), len(scene)), dtype=np.uint16)
     block = max(1, int(4e6 // max(len(scene), 1)))
+    tmp = np.empty((min(block, len(ref)), len(scene)), dtype=np.uint64)
     for start in range(0, len(ref), block):
         chunk = ref_words[start : start + block]
-        xored = np.bitwise_xor(chunk[:, None, :], scene_words[None, :, :])
-        out[start : start + block] = np.bitwise_count(xored).sum(axis=2, dtype=np.uint16)
+        dst = out[start : start + block]
+        xored = tmp[: len(chunk)]
+        # Bits are counted one 64-bit word at a time, into the uint16 sums.
+        for k, words in enumerate(scene_cols):
+            np.bitwise_xor(chunk[:, k, None], words, out=xored)
+            dst += np.bitwise_count(xored)
     return out
 
 

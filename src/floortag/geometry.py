@@ -95,6 +95,9 @@ class CameraIntrinsics:
         return self.f * self.ku
 
 
+INTRINSICS_KEYS = ("focal_m", "pixel_pitch_m", "cu_px", "cv_px", "skew", "width", "height")
+
+
 def save_intrinsics(intr: CameraIntrinsics, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"focal_m = {intr.f!r}\n")
@@ -109,8 +112,9 @@ def save_intrinsics(intr: CameraIntrinsics, path) -> None:
 def load_intrinsics(path) -> CameraIntrinsics:
     """Read `key = value` intrinsics; missing keys fall back to the reference camera.
 
-    Values must be finite numbers, and width and height whole numbers. A
-    malformed file raises IntrinsicsFormatError naming the file and line.
+    Keys are the seven that save_intrinsics writes (INTRINSICS_KEYS). Values
+    must be finite numbers, and width and height whole numbers. An unknown
+    key or a malformed line raises IntrinsicsFormatError naming the file and line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -127,6 +131,10 @@ def load_intrinsics(path) -> CameraIntrinsics:
         if not sep:
             raise IntrinsicsFormatError(f"{path}:{lineno}: expected 'key = value'")
         where = f"{path}:{lineno}: {key}"
+        if key not in INTRINSICS_KEYS:
+            raise IntrinsicsFormatError(
+                f"{path}:{lineno}: unknown key {key!r}; expected one of {', '.join(INTRINSICS_KEYS)}"
+            )
         try:
             value = float(text)
         except ValueError:

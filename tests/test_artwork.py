@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floortag import artwork
 from floortag.datamatrix import bitmap_from_codewords, decode_bitmap
@@ -96,3 +98,30 @@ def test_best_artwork_rotation_under_blur():
     for m in range(4):
         blurred = ndimage.gaussian_filter(np.rot90(base, m), 8.0)
         assert artwork.best_artwork_rotation(GreyImage.from_float(blurred), cells) == m
+
+
+# Reference block means: one slice mean per block, at the same edges.
+def oracle_block_means(px: np.ndarray, n: int) -> np.ndarray:
+    px = px.astype(np.float64)
+    h, w = px.shape
+    ys = np.linspace(0, h, n + 1)
+    xs = np.linspace(0, w, n + 1)
+    obs = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            obs[i, j] = px[int(ys[i]) : max(int(ys[i + 1]), int(ys[i]) + 1),
+                           int(xs[j]) : max(int(xs[j + 1]), int(xs[j]) + 1)].mean()
+    return obs
+
+
+_SIDES = st.one_of(st.integers(1, 14), st.integers(15, 260), st.sampled_from([15, 30, 240, 241]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=_SIDES, w=_SIDES, seed=st.integers(0, 2**32 - 1))
+def test_block_means_match_slice_means(h, w, seed):
+    px = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
+    got = artwork._block_means(px, 15)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, oracle_block_means(px, 15))
+

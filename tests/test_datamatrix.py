@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floortag import datamatrix
+from floortag import datamatrix, pipeline
+from floortag.bench import sample_camera_pose
 from floortag.datamatrix import (
     RECTIFIED_STICKER_PX,
     Codewords,
@@ -26,7 +27,11 @@ from floortag.datamatrix import (
     rs_encode,
     syndromes,
 )
+from floortag.geometry import CameraIntrinsics, camera_world_position
+from floortag.identify import ReferenceBank
 from floortag.imaging import GreyImage, QuadCorners, trace_contours
+from floortag.simulate import RenderConfig, exposure_for_blur_px, render
+from floortag.warehouse import WarehouseMap, generate_grid_map
 
 
 # Independent GF(256) arithmetic (russian peasant, polynomial 0x12D) used as
@@ -422,3 +427,175 @@ def test_degenerate_outline_is_no_exception():
     (line,) = trace_contours(GreyImage(np.where(px < 128, 0, 255).astype(np.uint8)))
     with pytest.raises(ValueError, match="degenerate point set"):
         min_area_rect(line.points)
+
+
+# Reference decoder: every symbol-sized contour is fitted and decoded, and
+# every read is kept. decode_roi_detail must return its first read only.
+def reference_decode_roi_detail(roi_img: GreyImage) -> list[datamatrix.SymbolRead]:
+    if roi_img.width < 40 or roi_img.height < 40:
+        raise ValueError("ROI must be at least 40x40 pixels")
+    px = roi_img.to_float()
+    threshold = otsu_threshold(roi_img.pixels)
+    binary = GreyImage(np.where(px < threshold, 0, 255).astype(np.uint8))
+    side = datamatrix.MIN_SYMBOL_SIDE_PX
+    reads = []
+    for contour in trace_contours(binary):
+        if contour.area() < side * side * 0.3:
+            continue
+        try:
+            quad = min_area_rect(contour.points)
+        except ValueError:
+            continue
+        side_a = np.linalg.norm(quad[1] - quad[0])
+        side_b = np.linalg.norm(quad[3] - quad[0])
+        short = min(side_a, side_b)
+        if short < side or max(side_a, side_b) > 4 * short:
+            continue
+        result = decode_bitmap(datamatrix._grid_from_quad(px, quad, threshold))
+        if result is not None:
+            reads.append(datamatrix.SymbolRead(result[0]))
+    return reads
+
+
+def assert_first_read_of_reference(img: GreyImage) -> list[datamatrix.SymbolRead]:
+    want = reference_decode_roi_detail(img)
+    got = datamatrix.decode_roi_detail(img)
+    assert isinstance(got, list)
+    assert [r.payload for r in got] == [r.payload for r in want[:1]]
+    return want
+
+
+INTR = CameraIntrinsics.reference_camera(binning=2)
+RECTIFY = datamatrix.rectify_quad
+
+
+def recording_rectify(seen: list[GreyImage]):
+    """A rectify_quad that keeps every rectified sticker in seen."""
+    def rectify(*args):
+        seen.append(RECTIFY(*args))
+        return seen[-1]
+    return rectify
+
+
+@pytest.fixture(scope="module")
+def grid_map():
+    return generate_grid_map(3, 3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def seeded_frames(grid_map):
+    """Three sharp frames and two smeared frames of a 3x3 map, seeded.
+
+    The 10 px smear leaves no symbol readable; the 6 px smear leaves three
+    of the four.
+    """
+    frames = {}
+    for seed, target_id in ((41, 4), (42, 1), (43, 8)):
+        target = grid_map.get(target_id)
+        pose = sample_camera_pose(np.random.default_rng(seed), (target.world_x, target.world_y))
+        frames[f"sharp{seed}"], _ = render(grid_map, INTR, pose, RenderConfig(seed=seed))
+    target = grid_map.get(4)
+    for seed, smear_px in ((44, 10.0), (45, 6.0)):
+        pose = sample_camera_pose(np.random.default_rng(seed), (target.world_x, target.world_y))
+        height = float(camera_world_position(pose)[2])
+        frames[f"smeared{seed}"], _ = render(grid_map, INTR, pose, RenderConfig(
+            seed=seed, exposure_reciprocal=exposure_for_blur_px(INTR, height, 1.0, smear_px),
+            velocity=1.0, heading=0.4))
+    return frames
+
+
+@pytest.fixture(scope="module")
+def rectified_stickers(seeded_frames, grid_map):
+    """Every rectified sticker the decode stage sees in the seeded frames.
+
+    Identification is switched off: it rectifies nothing, and on the smeared
+    frame it would dominate the run time.
+    """
+    bank = ReferenceBank.build(grid_map, INTR)
+    flats: dict[str, list[GreyImage]] = {}
+    for kind, frame in seeded_frames.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datamatrix, "rectify_quad", recording_rectify(flats.setdefault(kind, [])))
+            mp.setattr(pipeline, "identify_crop", lambda *args: None)
+            pipeline.process_frame(frame, grid_map, INTR, bank)
+    return flats
+
+
+def test_decode_stops_at_first_read_on_rectified_stickers(rectified_stickers):
+    counts = {
+        kind: [len(assert_first_read_of_reference(flat)) for flat in flats]
+        for kind, flats in rectified_stickers.items()
+    }
+    assert counts == {
+        "sharp41": [4], "sharp42": [4], "sharp43": [4], "smeared44": [0], "smeared45": [3],
+    }
+
+
+def test_decode_skips_a_symbol_that_fails_ahead_of_one_that_reads():
+    # The larger symbol comes first but has too many codeword errors to
+    # correct; the smaller one after it is clean.
+    bad = bitmap_from_codewords(rs_encode(encode_text("000101"))).modules.copy()
+    bad[1:9:2, 1:9] = ~bad[1:9:2, 1:9]
+    assert decode_bitmap(bad) is None
+    big = np.kron(np.pad(bad, 1), np.ones((10, 10), dtype=bool))
+    small = render_symbol(rs_encode(encode_text("000202")), module_px=6).pixels
+    px = np.full((130, 220), 255, dtype=np.uint8)
+    px[5:125, 5:125] = np.where(big, 0, 255)
+    px[20:92, 140:212] = small
+    want = assert_first_read_of_reference(GreyImage(px))
+    assert [r.payload.text for r in want] == ["000202"]
+
+
+def test_decode_stops_at_first_read_on_symbols_and_blank():
+    cw = rs_encode(encode_text("000903"))
+    img = render_symbol(cw, module_px=8)
+    for k in range(4):
+        rotated = GreyImage(np.rot90(img.pixels, k).copy())
+        assert len(assert_first_read_of_reference(rotated)) == 1
+    blank = GreyImage(np.full((80, 80), 200, dtype=np.uint8))
+    assert assert_first_read_of_reference(blank) == []
+
+
+def test_decode_stops_at_first_read_on_a_whole_sticker():
+    # Four symbols in one image: the reference reads all of them.
+    from floortag import artwork
+
+    sticker = artwork.render_sticker(6, RECTIFIED_STICKER_PX)
+    want = assert_first_read_of_reference(sticker)
+    assert sorted(r.payload.text for r in want) == list(artwork.sticker_payloads(6))
+
+
+def _outcome(result):
+    position = None if result.position is None else result.position.tobytes().hex()
+    return result.outcome, result.sticker_id, result.method, position
+
+
+def _localise_both_ways(frame, wmap):
+    bank = ReferenceBank.build(wmap, INTR)
+    got, _ = pipeline.process_frame(frame, wmap, INTR, bank, timestamp=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamatrix, "decode_roi_detail", reference_decode_roi_detail)
+        want, _ = pipeline.process_frame(frame, wmap, INTR, bank, timestamp=0.0)
+    return _outcome(got), _outcome(want)
+
+
+@pytest.mark.parametrize("kind", ["sharp41", "sharp42", "sharp43"])
+def test_pipeline_result_unchanged_by_the_early_stop(seeded_frames, grid_map, kind):
+    got, want = _localise_both_ways(seeded_frames[kind], grid_map)
+    assert got == want
+    assert got[0] == pipeline.OUTCOME_LOCALISED and got[2] == pipeline.METHOD_DECODED
+
+
+def test_pipeline_result_unchanged_when_the_sticker_is_not_in_the_map(seeded_frames, grid_map):
+    # Sticker 4 is in view but missing from the map: every read is an
+    # unregistered payload, and both decoders fall through to identification.
+    partial = WarehouseMap([s for s in grid_map if s.id != 4])
+    frame = seeded_frames["sharp41"]
+    seen: list[GreyImage] = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(datamatrix, "rectify_quad", recording_rectify(seen))
+        got, want = _localise_both_ways(frame, partial)
+    reads = [r.payload.text for flat in seen for r in reference_decode_roi_detail(flat)]
+    assert reads and all(text.startswith("0004") for text in reads)
+    assert got == want
+    assert got[2] != pipeline.METHOD_DECODED

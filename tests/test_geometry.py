@@ -81,6 +81,21 @@ def test_intrinsics_file_rejects_a_malformed_line(tmp_path, line, message):
     assert str(exc.value) == f"{path}{message}"
 
 
+@pytest.mark.parametrize("line,key", [
+    ("focal = 0.004", "focal"),
+    ("Width = 1296", "Width"),
+    ("pixel_pitch = 2.8e-6", "pixel_pitch"),
+    ("= 5", ""),
+])
+def test_intrinsics_file_rejects_an_unknown_key(tmp_path, line, key):
+    # A misspelt key must not fall back to the reference camera's value.
+    path = tmp_path / "cam.txt"
+    path.write_text(f"width = 1296\nheight = 972\n{line}\n")
+    with pytest.raises(IntrinsicsFormatError) as exc:
+        load_intrinsics(path)
+    assert str(exc.value).startswith(f"{path}:3: unknown key {key!r}; expected one of focal_m,")
+
+
 def test_intrinsics_file_rejects_an_impossible_camera(tmp_path):
     path = tmp_path / "cam.txt"
     path.write_text("pixel_pitch_m = 0\n")
