@@ -4,7 +4,8 @@ Galois field GF(256) with the Data Matrix polynomial x^8+x^5+x^3+x^2+1 and
 generator roots alpha^1..alpha^5. Only the 10x10 size is supported.
 
 A sticker carries four symbols with the same id, so decoding a sticker reads
-one symbol: `decode_roi_detail` stops at the first that decodes.
+one symbol: `decode_roi_detail` skips the sticker's own outline and stops at
+the first symbol that decodes.
 """
 
 from __future__ import annotations
@@ -554,17 +555,25 @@ def decode_roi_detail(roi_img: GreyImage) -> list[SymbolRead]:
     Contours are tried largest first; the first that passes the size and
     aspect tests and decodes ends the search. Every symbol of a sticker
     carries its id, so one read identifies it. Returns [] or a one-read list.
+
+    A contour that reaches all four image edges is skipped: on a rectified
+    sticker it is the sticker's own outline, never a symbol, since a symbol
+    keeps a quiet zone of at least one module (as render_symbol draws it).
     """
     if roi_img.width < 40 or roi_img.height < 40:
         raise ValueError("ROI must be at least 40x40 pixels")
     px = roi_img.to_float()
     threshold = otsu_threshold(roi_img.pixels)
     binary = GreyImage(np.where(px < threshold, 0, 255).astype(np.uint8))
+    last = np.array([roi_img.width - 1, roi_img.height - 1])
     for contour in trace_contours(binary):
         if contour.area() < MIN_SYMBOL_SIDE_PX * MIN_SYMBOL_SIDE_PX * 0.3:
             continue
+        pts = contour.points
+        if (pts.min(axis=0) == 0).all() and (pts.max(axis=0) == last).all():
+            continue
         try:
-            quad = min_area_rect(contour.points)
+            quad = min_area_rect(pts)
         except ValueError:
             continue
         side_a = np.linalg.norm(quad[1] - quad[0])

@@ -15,14 +15,18 @@ Detection costs what is textured, not what is in the frame:
   16-pixel ring, the 9-arc test and the score run only on the pixels that
   pass, under 1% of a mostly blank frame.
 - The Harris response and the smoothed image for the descriptors are
-  computed only on bands of rows around the keypoints, and each band spans
-  the full image width. scipy's box filter keeps a running sum along each
-  line. Its first pass runs down the columns over integers (pixels and
-  products of Sobel responses), where that sum is exact whatever row a band
-  starts on. Its second pass runs along the rows over rounded values, where
-  the result depends on the column the line starts from. Full-width bands
-  therefore reproduce the full-frame values bit for bit, and with them the
-  order of tied Harris responses.
+  computed from the uint8 pixels only on the rows they feed: Harris at the
+  keypoint rows, the smoothing on the rows within reach of the rotated
+  tests. No float copy of the frame is made. scipy's box filter runs two
+  passes, each keeping a running sum along its lines and dividing it at
+  every output. Its first pass runs down the columns over integers (pixels
+  and products of Sobel responses), so it equals the exact integer sum over
+  the window divided by the window size, which is what is computed here,
+  and only at the rows needed. Its second pass runs along the rows over
+  rounded values, where the result depends on the column the line starts
+  from, so it is scipy's own pass over full rows. The results therefore
+  equal the full-frame values bit for bit, and with them the order of tied
+  Harris responses.
 
 Keypoints and descriptors equal those of the plain full-frame computation,
 which the tests keep as their reference.
@@ -188,22 +192,6 @@ def _fast_candidates(pixels: np.ndarray, threshold: float):
     return np.column_stack([xs[keep], ys[keep]]), score[keep]
 
 
-def _harris_map(px: np.ndarray) -> np.ndarray:
-    gx = ndimage.sobel(px, axis=1, mode="nearest")
-    gy = ndimage.sobel(px, axis=0, mode="nearest")
-    win = 7
-    ixx = ndimage.uniform_filter(gx * gx, win, mode="nearest")
-    iyy = ndimage.uniform_filter(gy * gy, win, mode="nearest")
-    ixy = ndimage.uniform_filter(gx * gy, win, mode="nearest")
-    det = ixx * iyy - ixy * ixy
-    trace = ixx + iyy
-    return det - 0.04 * trace * trace
-
-
-def _smooth_map(px: np.ndarray) -> np.ndarray:
-    return ndimage.uniform_filter(px, 5, mode="nearest")
-
-
 def _row_bands(ys: np.ndarray, reach: int, height: int) -> list[tuple[int, int]]:
     """Merged [start, stop) row ranges that cover every row in ys +- reach."""
     rows = np.unique(ys)
@@ -213,23 +201,86 @@ def _row_bands(ys: np.ndarray, reach: int, height: int) -> list[tuple[int, int]]
     return list(zip(starts[np.r_[0, breaks]].tolist(), stops[np.r_[breaks - 1, -1]].tolist()))
 
 
-def _banded(filt, px: np.ndarray, ys: np.ndarray, reach: int, halo: int) -> np.ndarray:
-    """filt(px) on every row within reach of ys; the other rows hold zeros.
+# Keypoints lie at least MARGIN rows inside the image, and the filters below
+# read at most 15 rows from a keypoint, so no band reaches the top or bottom
+# row and the column passes need no edge rows. Columns do reach the edges.
 
-    filt runs on full-width bands of rows, extended by the halo of rows its
-    kernel reads on each side, and the halo rows of a band are discarded.
+
+def _harris_at(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Harris response of the uint8 pixels at (xs, ys), read on the rows around them.
+
+    Sobel gradients (edge columns as mode="nearest") and their products are
+    integers, so the 7-row column sums of the box filter are exact. Those are
+    formed only at the keypoint rows; the row pass runs on full rows.
     """
-    h = px.shape[0]
-    out = np.zeros_like(px)
-    for start, stop in _row_bands(ys, reach + halo, h):
-        lo = start if start == 0 else start + halo
-        hi = stop if stop == h else stop - halo
-        out[lo:hi] = filt(px[start:stop])[lo - start : hi - start]
-    return out
+    h, w = pixels.shape
+    rows = np.unique(ys)
+    sums = np.empty((3, len(rows), w), dtype=np.int32)
+    done = 0
+    # Sobel reads 1 row on each side and the 7-row window 3 more.
+    for start, stop in _row_bands(rows, 4, h):
+        p = pixels[start:stop].astype(np.int16)
+        dx = np.empty_like(p)
+        dx[:, 1:-1] = p[:, 2:] - p[:, :-2]
+        dx[:, 0] = p[:, 1] - p[:, 0]
+        dx[:, -1] = p[:, -1] - p[:, -2]
+        gx = dx[:-2] + 2 * dx[1:-1] + dx[2:]
+        dy = p[2:] - p[:-2]
+        gy = np.empty_like(dy)
+        gy[:, 1:-1] = dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]
+        gy[:, 0] = 3 * dy[:, 0] + dy[:, 1]
+        gy[:, -1] = dy[:, -2] + 3 * dy[:, -1]
+        # Row i of the products is image row start + 1 + i; |gx|, |gy| <= 1020.
+        prods = np.empty((3,) + gx.shape, dtype=np.int32)
+        np.multiply(gx, gx, dtype=np.int32, out=prods[0])
+        np.multiply(gy, gy, dtype=np.int32, out=prods[1])
+        np.multiply(gx, gy, dtype=np.int32, out=prods[2])
+        n = int(np.searchsorted(rows, stop)) - done
+        local = rows[done : done + n] - (start + 1)
+        acc = sums[:, done : done + n]
+        acc[...] = prods[:, local - 3]
+        for k in range(-2, 4):
+            acc += prods[:, local + k]
+        done += n
+    # scipy's box filter divides its running sum at each output, so on these
+    # integers its column pass equals the exact sum / 7. Its row pass rounds
+    # in an order set by the column a line starts from, hence full rows.
+    boxed = ndimage.uniform_filter1d(sums / 7.0, 7, axis=-1, mode="nearest")
+    ixx, iyy, ixy = boxed[:, np.searchsorted(rows, ys), xs]
+    det = ixx * iyy - ixy * ixy
+    trace = ixx + iyy
+    return det - 0.04 * trace * trace
+
+
+def _smoothed_rows(pixels: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 5x5 box-filtered image on the rows within 13 of ys, as a compact row store.
+
+    Returns the store and each keypoint's row in it. Every row a keypoint's
+    tests read lies in the same band as the keypoint, and a band's rows are
+    consecutive in the store, so its tests read the store at the same offsets.
+    """
+    h, w = pixels.shape
+    # Rotated tests reach 13 rows from a keypoint; the 5x5 box reads 2 more.
+    bands = _row_bands(ys, 15, h)
+    sizes = [stop - start - 4 for start, stop in bands]
+    store = np.empty((sum(sizes), w))
+    shifts = np.empty(len(bands), dtype=np.int64)
+    offset = 0
+    for i, ((start, stop), size) in enumerate(zip(bands, sizes)):
+        p = pixels[start:stop].astype(np.int16)
+        col = p[:-4] + p[1:-3] + p[2:-2] + p[3:-1] + p[4:]
+        # As in _harris_at: the exact column sum / 5, then scipy's row pass.
+        ndimage.uniform_filter1d(
+            col / 5.0, 5, axis=-1, mode="nearest", output=store[offset : offset + size]
+        )
+        shifts[i] = offset - (start + 2)
+        offset += size
+    starts = np.array([start for start, _ in bands])
+    return store, ys + shifts[np.searchsorted(starts, ys, side="right") - 1]
 
 
 def _orientations(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    patches = px[ys[:, None] + _DISC_DY, xs[:, None] + _DISC_DX]
+    patches = px[ys[:, None] + _DISC_DY, xs[:, None] + _DISC_DX].astype(np.float64)
     m10 = patches @ _DISC_DX.astype(np.float64)
     m01 = patches @ _DISC_DY.astype(np.float64)
     return np.mod(np.arctan2(m01, m10), 2 * np.pi)
@@ -257,6 +308,8 @@ def detect_and_describe(
     Keeps the max_features FAST corners with the highest Harris response and
     returns them strongest FAST score first.
     """
+    if max_features < 1:
+        raise ValueError(f"max_features must be at least 1, got {max_features}")
     if img.width < 32 or img.height < 32:
         raise ValueError("image too small for feature detection (min 32x32)")
     h, w = img.height, img.width
@@ -270,16 +323,13 @@ def detect_and_describe(
     pts, scores = pts[inside], scores[inside]
     if len(pts) == 0:
         return FeatureSet([], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
-    px = img.to_float()
     xs, ys = pts[:, 0], pts[:, 1]
-    # Sobel reads 1 row on each side and the 7x7 window 3 more.
-    harris = _banded(_harris_map, px, ys, 0, 4)[ys, xs]
+    harris = _harris_at(img.pixels, xs, ys)
     order = np.argsort(-harris, kind="stable")[:max_features]
     xs, ys, scores = xs[order], ys[order], scores[order]
-    angles = _orientations(px, xs, ys)
-    # Rotated tests reach 13 rows from a keypoint; the 5x5 box reads 2 more.
-    smooth = _banded(_smooth_map, px, ys, 13, 2)
-    descriptors = _describe(smooth, xs, ys, angles)
+    angles = _orientations(img.pixels, xs, ys)
+    smooth, rows = _smoothed_rows(img.pixels, ys)
+    descriptors = _describe(smooth, xs, rows, angles)
     order = np.argsort(-scores, kind="stable")
     kps = [
         Keypoint(float(xs[i]), float(ys[i]), float(scores[i]), float(angles[i]))

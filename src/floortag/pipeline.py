@@ -254,6 +254,7 @@ def process_frame(
             continue
         corners = extract_corners(crop, cfg.min_contour_area)
         contexts.append(_RoiContext(roi, crop, corners))
+    clock.lap("quad")
 
     # Decode pass: every ROI is tried before any identification fallback fires.
     sticker = None

@@ -531,6 +531,28 @@ def test_decode_stops_at_first_read_on_rectified_stickers(rectified_stickers):
     }
 
 
+def test_decode_fits_a_symbol_first_not_the_sticker_outline(rectified_stickers, monkeypatch):
+    # The rectified sticker's largest contour is its own outline, which
+    # reaches all four edges; the first rectangle fitted must be a symbol's.
+    fitted: list[np.ndarray] = []
+
+    def recording_min_area_rect(points):
+        fitted.append(np.asarray(points))
+        return min_area_rect(points)
+
+    monkeypatch.setattr(datamatrix, "min_area_rect", recording_min_area_rect)
+    for kind in ("sharp41", "sharp42", "sharp43"):
+        (flat,) = rectified_stickers[kind]
+        fitted.clear()
+        (read,) = datamatrix.decode_roi_detail(flat)
+        first = fitted[0]
+        assert first.min() > 0 and first.max() < RECTIFIED_STICKER_PX - 1
+        px = flat.to_float()
+        quad = min_area_rect(first)
+        grid = datamatrix._grid_from_quad(px, quad, otsu_threshold(flat.pixels))
+        assert decode_bitmap(grid)[0] == read.payload
+
+
 def test_decode_skips_a_symbol_that_fails_ahead_of_one_that_reads():
     # The larger symbol comes first but has too many codeword errors to
     # correct; the smaller one after it is clean.

@@ -120,6 +120,20 @@ def assert_matches_oracle(img: GreyImage, max_features: int, threshold: float) -
     return got
 
 
+def assert_row_kernels_match_oracle(img: GreyImage, threshold: float) -> None:
+    """Harris at every candidate, and every smoothed row a test reads, equal the full frame's."""
+    pts, _, want_harris = oracle_candidates(img, threshold)
+    if len(pts) == 0:
+        return
+    xs, ys = pts[:, 0], pts[:, 1]
+    assert np.array_equal(features._harris_at(img.pixels, xs, ys), want_harris)
+    full = ndimage.uniform_filter(img.to_float(), 5, mode="nearest")
+    store, rows = features._smoothed_rows(img.pixels, ys)
+    reach = np.arange(-13, 14)
+    for y, row in set(zip(ys.tolist(), rows.tolist())):
+        assert np.array_equal(store[row + reach], full[y + reach])
+
+
 @pytest.fixture(scope="module")
 def scene_renders():
     """A sharp and a 10 px-smeared frame of a 3x3 map, seeded."""
@@ -140,6 +154,11 @@ def scene_renders():
 def test_frame_features_match_oracle(scene_renders, kind, threshold, max_features):
     feats = assert_matches_oracle(scene_renders[kind], max_features, threshold)
     assert len(feats) > 50
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smeared"])
+def test_frame_row_kernels_match_oracle(scene_renders, kind):
+    assert_row_kernels_match_oracle(scene_renders[kind], 8.0)
 
 
 def test_reference_artwork_features_match_oracle():
@@ -196,6 +215,52 @@ def test_fast_candidates_match_oracle(px, threshold):
     want_pts, want_scores = oracle_fast_candidates(px.astype(np.float64), threshold)
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(scores, want_scores)
+
+
+@st.composite
+def blocky_images(draw):
+    """A uint8 image of 32 to 120 px a side: a flat ground, blocks, then noise."""
+    h = draw(st.integers(32, 120))
+    w = draw(st.integers(32, 120))
+    px = np.full((h, w), draw(st.integers(0, 255)), dtype=np.int16)
+    for _ in range(draw(st.integers(0, 12))):
+        y0, y1 = sorted(draw(st.tuples(st.integers(0, h), st.integers(0, h))))
+        x0, x1 = sorted(draw(st.tuples(st.integers(0, w), st.integers(0, w))))
+        px[y0:y1, x0:x1] = draw(st.integers(0, 255))
+    amplitude = draw(st.sampled_from([0, 2, 12, 60]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    px += rng.integers(-amplitude, amplitude + 1, size=(h, w), dtype=np.int16)
+    return GreyImage(np.clip(px, 0, 255).astype(np.uint8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    img=blocky_images(),
+    threshold=st.sampled_from([0.0, 8.0, 20.0, REFERENCE_THRESHOLD]),
+    max_features=st.sampled_from([1, 3, 17, 60, 1000]),
+)
+def test_random_images_match_oracle(img, threshold, max_features):
+    assert_matches_oracle(img, max_features, threshold)
+    assert_row_kernels_match_oracle(img, threshold)
+
+
+def test_detection_makes_no_float_copy_of_the_frame(scene_renders, monkeypatch):
+    want = oracle_detect(scene_renders["sharp"], 1000, 20.0)
+
+    def refuse(self):
+        raise AssertionError("detection copied the frame to float")
+
+    monkeypatch.setattr(GreyImage, "to_float", refuse)
+    got = detect_and_describe(scene_renders["sharp"], max_features=1000, threshold=20.0)
+    assert len(got) > 50
+    assert [astuple(k) for k in got.keypoints] == [astuple(k) for k in want.keypoints]
+    assert np.array_equal(got.descriptors, want.descriptors)
+
+
+@pytest.mark.parametrize("max_features", [0, -3])
+def test_max_features_below_one_rejected(max_features):
+    with pytest.raises(ValueError, match="max_features"):
+        detect_and_describe(render_sticker(1, 200), max_features=max_features)
 
 
 def test_uniform_image_has_no_keypoints():

@@ -57,7 +57,7 @@ def test_clean_render_localises_by_decoding(wmap, bank):
     assert np.linalg.norm(result.position - np.asarray(cam)) < 0.02
     assert result.operator_position == pytest.approx(result.position[:2])
     assert state.position == (pytest.approx(cam[0], abs=0.02), pytest.approx(cam[1], abs=0.02))
-    assert set(result.timings_ms) >= {"detect", "match", "cluster", "decode", "pose"}
+    assert set(result.timings_ms) >= {"detect", "match", "cluster", "quad", "decode", "pose"}
 
 
 def test_blurred_render_localises_by_identification(wmap, bank):
