@@ -14,6 +14,18 @@ Detection costs what is textured, not what is in the frame:
   integer pixels this test is exact, so it drops no corner. The full
   16-pixel ring, the 9-arc test and the score run only on the pixels that
   pass, under 1% of a mostly blank frame.
+- The pre-test runs on the flat uint8 pixels, in chunks of _PRETEST_CHUNK
+  pixels through four reused buffers, with no wider copy of the frame. With
+  step = floor(threshold) clipped to 255, "both brighter" is
+  min(max(N, S), max(E, W)) > C + step, which saturating uint8 arithmetic
+  states exactly as max(A, step) - step > C; "both darker" is
+  min(B, 255 - step) + step < C. Whole rows are tested, so the flat shifts
+  wrap around the ends of a row; the 3 columns at each end are dropped
+  after the test.
+- The ring is one flat gather at idx + dy * w + dx, and its 16 tests are
+  packed into a 16-bit mask per pixel. Non-maximal suppression finds each
+  corner's 8 neighbours by binary search in the sorted flat indices of the
+  corners, so no frame-sized score grid is made.
 - The Harris response and the smoothed image for the descriptors are
   computed from the uint8 pixels only on the rows they feed: Harris at the
   keypoint rows, the smoothing on the rows within reach of the rotated
@@ -149,46 +161,87 @@ class MatchSet:
         return [p[1] for p in self.pairs]
 
 
-def _fast_candidates(pixels: np.ndarray, threshold: float):
-    """FAST-9 corners after 3x3 non-maximal suppression.
+# Pixels the FAST pre-test handles per pass; its four buffers stay in cache.
+_PRETEST_CHUNK = 1 << 17
+_NEIGHBOURS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 
-    Returns (x, y) points in row-major order and their float32 scores.
+
+def _pretest(flat: np.ndarray, h: int, w: int, step: int) -> np.ndarray:
+    """Flat indices in rows 3..h-4 that pass the compass-point pre-test.
+
+    On uint8, min(max(N, S), max(E, W)) > C + step is max(A, step) - step > C,
+    and max(min(N, S), min(E, W)) < C - step is min(B, 255 - step) + step < C,
+    for 0 <= step <= 255. Columns near the ends of a row are tested too, on
+    shifts that wrap into the next row; the caller drops them.
+    """
+    up, down = np.uint8(step), np.uint8(255 - step)
+    size = min(_PRETEST_CHUNK, max(0, (h - 6) * w))
+    a, b = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8)
+    bright, dark = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    found = [np.empty(0, dtype=np.int64)]
+    for lo in range(3 * w, (h - 3) * w, _PRETEST_CHUNK):
+        hi = min(lo + _PRETEST_CHUNK, (h - 3) * w)
+        n = hi - lo
+        centre = flat[lo:hi]
+        north, south = flat[lo - 3 * w : hi - 3 * w], flat[lo + 3 * w : hi + 3 * w]
+        east, west = flat[lo + 3 : hi + 3], flat[lo - 3 : hi - 3]
+        ca, cb, cbright, cdark = a[:n], b[:n], bright[:n], dark[:n]
+        np.maximum(north, south, out=ca)
+        np.maximum(east, west, out=cb)
+        np.minimum(ca, cb, out=ca)
+        np.maximum(ca, up, out=ca)
+        np.subtract(ca, up, out=ca)
+        np.greater(ca, centre, out=cbright)
+        np.minimum(north, south, out=ca)
+        np.minimum(east, west, out=cb)
+        np.maximum(ca, cb, out=ca)
+        np.minimum(ca, down, out=ca)
+        np.add(ca, up, out=ca)
+        np.less(ca, centre, out=cdark)
+        np.logical_or(cbright, cdark, out=cbright)
+        found.append(np.flatnonzero(cbright) + lo)
+    return np.concatenate(found)
+
+
+def _ring_masks(passed: np.ndarray) -> np.ndarray:
+    """(16, n) ring tests to n 16-bit masks: bit i is set when ring pixel i passed."""
+    packed = np.packbits(passed, axis=0, bitorder="little").astype(np.uint16)
+    return packed[0] | packed[1] << 8
+
+
+def _fast_candidates(pixels: np.ndarray, threshold: float):
+    """FAST-9 corners of uint8 pixels after 3x3 non-maximal suppression.
+
+    The threshold must be finite and >= 0. Returns (x, y) points in
+    row-major order and their float32 scores.
     """
     h, w = pixels.shape
-    px = pixels.astype(np.int16)
-    core = px[3 : h - 3, 3 : w - 3]
+    flat = pixels.ravel()
     # For integer differences, d > t <=> d > floor(t); they lie in [-255, 255].
-    step = int(np.clip(np.floor(threshold), -256, 256))
-    north, east, south, west = (
-        px[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx] for dy, dx in _CIRCLE[::4]
-    )
-    hi = core + step
-    lo = core - step
-    maybe = ((north > hi) | (south > hi)) & ((east > hi) | (west > hi))
-    maybe |= ((north < lo) | (south < lo)) & ((east < lo) | (west < lo))
-    ys, xs = np.nonzero(maybe)
-    ys += 3
-    xs += 3
-    centre = px[ys, xs]
-    d = np.stack([px[ys + dy, xs + dx] - centre for dy, dx in _CIRCLE]).astype(np.float64)
-    bright_bits = np.zeros(len(ys), dtype=np.uint16)
-    dark_bits = np.zeros(len(ys), dtype=np.uint16)
-    for i in range(16):
-        bright_bits |= (d[i] > threshold).astype(np.uint16) << i
-        dark_bits |= (d[i] < -threshold).astype(np.uint16) << i
-    is_corner = _RUN9[bright_bits] | _RUN9[dark_bits]
-    ys, xs = ys[is_corner], xs[is_corner]
+    step = min(int(np.floor(threshold)), 255)
+    idx = _pretest(flat, h, w, step)
+    ys, xs = np.divmod(idx, w)
+    inside = (xs >= 3) & (xs < w - 3)
+    idx, ys, xs = idx[inside], ys[inside], xs[inside]
+    ring = flat[idx + (_CIRCLE @ (w, 1))[:, None]]
+    d = ring.astype(np.int16) - flat[idx].astype(np.int16)
+    is_corner = _RUN9[_ring_masks(d > step)] | _RUN9[_ring_masks(d < -step)]
+    idx, ys, xs = idx[is_corner], ys[is_corner], xs[is_corner]
     excess = np.abs(d[:, is_corner].astype(np.float32)) - threshold
     np.clip(excess, 0.0, None, out=excess)
     score = excess.sum(axis=0)
+    if len(idx) == 0:
+        return np.column_stack([xs, ys]), score
     # Every pixel that is not a corner scores 0, so a corner is a local maximum
-    # when no corner among its 8 neighbours scores higher.
-    grid = np.zeros((h, w), dtype=score.dtype)
-    grid[ys, xs] = score
+    # when no corner among its 8 neighbours scores higher. Corners lie in
+    # columns 3..w-4, so a neighbour's flat index never wraps onto a corner of
+    # another row; idx is sorted, so each neighbour is found by binary search.
     keep = score > 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            keep &= score >= grid[ys + dy, xs + dx]
+    last = len(idx) - 1
+    for dy, dx in _NEIGHBOURS:
+        target = idx + (dy * w + dx)
+        at = np.minimum(np.searchsorted(idx, target), last)
+        keep &= (idx[at] != target) | (score >= score[at])
     return np.column_stack([xs[keep], ys[keep]]), score[keep]
 
 
@@ -211,7 +264,8 @@ def _harris_at(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
 
     Sobel gradients (edge columns as mode="nearest") and their products are
     integers, so the 7-row column sums of the box filter are exact. Those are
-    formed only at the keypoint rows; the row pass runs on full rows.
+    formed on the bands of rows around the keypoints and kept at the keypoint
+    rows; the row pass runs on full rows.
     """
     h, w = pixels.shape
     rows = np.unique(ys)
@@ -235,12 +289,12 @@ def _harris_at(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
         np.multiply(gx, gx, dtype=np.int32, out=prods[0])
         np.multiply(gy, gy, dtype=np.int32, out=prods[1])
         np.multiply(gx, gy, dtype=np.int32, out=prods[2])
+        # Row i of the window sums is centred on product row i + 3.
+        win = prods[:, :-6].copy()
+        for k in range(1, 7):
+            win += prods[:, k : len(gx) - 6 + k]
         n = int(np.searchsorted(rows, stop)) - done
-        local = rows[done : done + n] - (start + 1)
-        acc = sums[:, done : done + n]
-        acc[...] = prods[:, local - 3]
-        for k in range(-2, 4):
-            acc += prods[:, local + k]
+        sums[:, done : done + n] = win[:, rows[done : done + n] - (start + 4)]
         done += n
     # scipy's box filter divides its running sum at each output, so on these
     # integers its column pass equals the exact sum / 7. Its row pass rounds
@@ -280,7 +334,9 @@ def _smoothed_rows(pixels: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _orientations(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    patches = px[ys[:, None] + _DISC_DY, xs[:, None] + _DISC_DX].astype(np.float64)
+    w = px.shape[1]
+    disc = _DISC_DY * w + _DISC_DX
+    patches = px.ravel()[(ys * w + xs)[:, None] + disc].astype(np.float64)
     m10 = patches @ _DISC_DX.astype(np.float64)
     m01 = patches @ _DISC_DY.astype(np.float64)
     return np.mod(np.arctan2(m01, m10), 2 * np.pi)
@@ -294,7 +350,9 @@ def _describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
     ay = np.rint(s * x1 + c * y1).astype(np.int64) + ys[:, None]
     bx = np.rint(c * x2 - s * y2).astype(np.int64) + xs[:, None]
     by = np.rint(s * x2 + c * y2).astype(np.int64) + ys[:, None]
-    bits = smooth[ay, ax] < smooth[by, bx]
+    w = smooth.shape[1]
+    flat = smooth.ravel()
+    bits = flat[ay * w + ax] < flat[by * w + bx]
     return np.packbits(bits, axis=1)
 
 
@@ -310,6 +368,8 @@ def detect_and_describe(
     """
     if max_features < 1:
         raise ValueError(f"max_features must be at least 1, got {max_features}")
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
     if img.width < 32 or img.height < 32:
         raise ValueError("image too small for feature detection (min 32x32)")
     h, w = img.height, img.width
@@ -369,15 +429,13 @@ def match(reference, scene, max_distance: int = 64) -> MatchSet:
     if len(ref) == 0 or len(sc) == 0:
         raise ValueError("descriptor sets must be non-empty")
     dist = _distance_matrix(ref, sc)
-    nearest_scene = dist.argmin(axis=1)
-    nearest_ref = dist.argmin(axis=0)
-    pairs = []
-    for i, j in enumerate(nearest_scene):
-        d = int(dist[i, j])
-        if d <= max_distance and nearest_ref[j] == i:
-            pairs.append((i, int(j), d))
-    pairs.sort(key=lambda p: (p[2], p[0]))
-    return MatchSet(pairs)
+    i = np.arange(len(ref))
+    j = dist.argmin(axis=1)
+    d = dist[i, j]
+    mutual = (d <= max_distance) & (dist.argmin(axis=0)[j] == i)
+    i, j, d = i[mutual], j[mutual], d[mutual]
+    order = np.lexsort((i, d))
+    return MatchSet(list(zip(i[order].tolist(), j[order].tolist(), d[order].tolist())))
 
 
 def sticker_present(matches: MatchSet, detect_min: int, absent_max: int) -> str:

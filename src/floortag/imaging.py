@@ -17,6 +17,11 @@ such neighbour comes earlier in raster order and, being 8-adjacent, belongs
 to the same component. So the first pixel of each label that passes this
 test is exactly the raster-first one: no earlier pixel of the label exists
 to pass it.
+
+`bilinear_sample` reads the pixels by flat index. Every point it is given
+must lie in [0, w - 1] x [0, h - 1]; a point outside, or NaN, raises
+ValueError, since a flat index past a row's end would read the next row.
+Its callers clip or filter their points first.
 """
 
 from __future__ import annotations
@@ -274,31 +279,34 @@ _SUPPORT_DIRS = np.array(
 )
 
 
+# Every 4-subset of k support points, in combinations() order, for k = 4..8.
+_SUBSETS = {k: np.array(list(combinations(range(k), 4))) for k in range(4, 9)}
+
+
 def _initial_corner_indices(pts: np.ndarray) -> list[int]:
     """Indices of the 4 support points spanning the largest quad.
 
     Supports are taken every 45 degrees so that square and diamond orientations
     (where a single support family ties along an edge) both yield true corners.
+    All subsets are scored at once; on a tie the first subset wins.
     """
     scores = pts @ _SUPPORT_DIRS.T
-    candidates = sorted(set(int(np.argmax(scores[:, k])) for k in range(8)))
+    candidates = np.unique(np.argmax(scores, axis=0))
     if len(candidates) < 4:
         raise NotAQuadError("not a quad")
-    best, best_area = None, 0.0
-    for combo in combinations(candidates, 4):
-        p = pts[list(combo)]
-        cen = p.mean(axis=0)
-        order = np.argsort(np.arctan2(p[:, 1] - cen[1], p[:, 0] - cen[0]))
-        q = p[order]
-        area = abs(
-            float(np.dot(q[:, 0], np.roll(q[:, 1], -1)) - np.dot(np.roll(q[:, 0], -1), q[:, 1]))
-        ) / 2.0
-        if area > best_area:
-            best_area = area
-            best = [combo[i] for i in order]
-    if best is None or best_area < 2.0:
+    combos = candidates[_SUBSETS[len(candidates)]]
+    p = pts[combos]
+    cen = p.mean(axis=1, keepdims=True)
+    order = np.argsort(np.arctan2(p[..., 1] - cen[..., 1], p[..., 0] - cen[..., 0]), axis=1)
+    q = np.take_along_axis(p, order[..., None], axis=1)
+    nxt = np.roll(q, -1, axis=1)
+    # Contour points are integers, so the shoelace sums are exact.
+    twice = (q[..., 0] * nxt[..., 1]).sum(axis=1) - (nxt[..., 0] * q[..., 1]).sum(axis=1)
+    areas = np.abs(twice) / 2.0
+    best = int(np.argmax(areas))
+    if areas[best] < 2.0:
         raise NotAQuadError("not a quad")
-    return best
+    return combos[best, order[best]].tolist()
 
 
 def _edge_arc(n: int, i: int, j: int) -> np.ndarray:
@@ -323,18 +331,32 @@ def _intersect(c1, d1, c2, d2) -> np.ndarray:
 
 
 def bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of px at points (xs, ys) of any shape.
+
+    Every point must lie in [0, w - 1] x [0, h - 1]; callers clip or filter
+    first, and a point outside (or NaN) raises ValueError. The last row and
+    column are their own right and lower neighbours.
+    """
     h, w = px.shape
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
+    if np.size(xs) and not (
+        np.min(xs) >= 0 and np.max(xs) <= w - 1 and np.min(ys) >= 0 and np.max(ys) <= h - 1
+    ):
+        raise ValueError(f"sample points outside the {w}x{h} image")
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
     fx = xs - x0
     fy = ys - y0
+    gx = 1 - fx
+    gy = 1 - fy
+    flat = px.ravel()
     return (
-        px[y0, x0] * (1 - fx) * (1 - fy)
-        + px[y0, x1] * fx * (1 - fy)
-        + px[y1, x0] * (1 - fx) * fy
-        + px[y1, x1] * fx * fy
+        flat[row0 + x0] * gx * gy
+        + flat[row0 + x1] * fx * gy
+        + flat[row1 + x0] * gx * fy
+        + flat[row1 + x1] * fx * fy
     )
 
 
@@ -397,7 +419,7 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
     pts = c.points.astype(np.float64)
     idx = _initial_corner_indices(pts)
     corners = pts[idx]
-    px = image.to_float() if image is not None else None
+    px = image.pixels if image is not None else None
 
     n = len(pts)
     lines = []

@@ -1,4 +1,5 @@
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ def oracle_fast_candidates(px: np.ndarray, threshold: float):
     keep = is_corner & local_max & (score > 0)
     ys, xs = np.nonzero(keep)
     return np.column_stack([xs + 3, ys + 3]), score[ys, xs]
+
+
+def oracle_pretest(px: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns where two adjacent compass points both pass, in int16."""
+    h, w = px.shape
+    p = px.astype(np.int16)
+    core = p[3 : h - 3, 3 : w - 3]
+    north, east, south, west = (
+        p[3 + dy : h - 3 + dy, 3 + dx : w - 3 + dx] for dy, dx in features._CIRCLE[::4]
+    )
+    step = np.floor(threshold)
+    hi, lo = core + step, core - step
+    maybe = ((north > hi) | (south > hi)) & ((east > hi) | (west > hi))
+    maybe |= ((north < lo) | (south < lo)) & ((east < lo) | (west < lo))
+    ys, xs = np.nonzero(maybe)
+    return ys + 3, xs + 3
+
+
+def test_ring_masks_set_bit_i_for_ring_pixel_i():
+    passed = np.random.default_rng(5).random((16, 500)) < 0.5
+    want = np.zeros(500, dtype=np.uint16)
+    for i in range(16):
+        want |= passed[i].astype(np.uint16) << i
+    assert np.array_equal(features._ring_masks(passed), want)
 
 
 def oracle_harris_response(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -215,6 +240,37 @@ def test_fast_candidates_match_oracle(px, threshold):
     want_pts, want_scores = oracle_fast_candidates(px.astype(np.float64), threshold)
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(scores, want_scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    px=arrays(np.uint8, st.tuples(st.integers(7, 40), st.integers(7, 64)),
+              elements=st.one_of(_LEVELS, st.integers(0, 255))),
+    threshold=st.sampled_from([0.0, 7.5, 20.0, 254.5, 255.0, 300.0]),
+    chunk=st.integers(1, 300),
+)
+def test_pretest_chunks_match_oracle(px, threshold, chunk):
+    # Small chunks put chunk edges mid-row, at row ends and in a last partial chunk.
+    h, w = px.shape
+    step = min(int(np.floor(threshold)), 255)
+    with mock.patch.object(features, "_PRETEST_CHUNK", chunk):
+        ys, xs = np.divmod(features._pretest(px.ravel(), h, w, step), w)
+        pts, scores = features._fast_candidates(px, threshold)
+    # The pre-test itself is the exact compass-point test, away from the
+    # columns where its flat shifts wrap.
+    inside = (xs >= 3) & (xs < w - 3)
+    want_ys, want_xs = oracle_pretest(px, threshold)
+    assert np.array_equal(ys[inside], want_ys) and np.array_equal(xs[inside], want_xs)
+    want_pts, want_scores = oracle_fast_candidates(px.astype(np.float64), threshold)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(scores, want_scores)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, -0.5, float("nan"), float("inf"), float("-inf")])
+def test_negative_or_non_finite_threshold_rejected(threshold):
+    img = GreyImage(np.random.default_rng(0).integers(0, 256, (40, 40), dtype=np.uint8))
+    with pytest.raises(ValueError, match="threshold"):
+        detect_and_describe(img, threshold=threshold)
 
 
 @st.composite
@@ -440,3 +496,42 @@ def test_calibrate_thresholds():
 def test_feature_set_validates_lengths():
     with pytest.raises(ValueError):
         FeatureSet([Keypoint(1, 1, 0, 0)], np.zeros((2, 32), dtype=np.uint8))
+
+
+# Reference matcher: a Python loop over the references. match must return the
+# same pairs in the same order.
+def oracle_match(ref: np.ndarray, scene: np.ndarray, max_distance: int) -> list:
+    dist = oracle_distance_matrix(ref, scene)
+    nearest_scene = dist.argmin(axis=1)
+    nearest_ref = dist.argmin(axis=0)
+    pairs = []
+    for i, j in enumerate(nearest_scene):
+        d = int(dist[i, j])
+        if d <= max_distance and nearest_ref[j] == i:
+            pairs.append((i, int(j), d))
+    pairs.sort(key=lambda p: (p[2], p[0]))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_match_equals_loop_oracle_with_tied_distances(seed):
+    # Copies of a few descriptors, half with one bit flipped: many pairs share
+    # a distance, rows and columns tie for their nearest, and duplicates abound.
+    rng = np.random.default_rng(seed)
+    palette = rng.integers(0, 256, size=(int(rng.integers(2, 8)), DESCRIPTOR_BYTES), dtype=np.uint8)
+
+    def draw(n):
+        d = palette[rng.integers(0, len(palette), n)]
+        flip = rng.random(n) < 0.5
+        bit = rng.integers(0, DESCRIPTOR_BITS, flip.sum())
+        d[flip, bit // 8] ^= (1 << bit % 8).astype(np.uint8)
+        return d
+
+    ref, scene = draw(int(rng.integers(1, 60))), draw(int(rng.integers(1, 60)))
+    for max_distance in (0, 1, 2, 64, 256):
+        want = oracle_match(ref, scene, max_distance)
+        got = match(ref, scene, max_distance=max_distance).pairs
+        assert got == want
+        assert all(type(v) is int for p in got for v in p)
+    dist = oracle_distance_matrix(ref, scene)
+    assert len(np.unique(dist)) < dist.size

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -528,3 +530,166 @@ def test_quad_corners_match_oracle_where_profiles_leave_the_roi(sticker_frames):
     counts = assert_corners_match_oracle(roi, 3.0)
     assert counts["outlines"] >= 1
     assert counts["outside"] > 0
+
+
+# Reference bilinear sampling: 2-D indexing. bilinear_sample must reproduce
+# it bit for bit on every point inside the image.
+def oracle_bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    h, w = px.shape
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    return (
+        px[y0, x0] * (1 - fx) * (1 - fy)
+        + px[y0, x1] * fx * (1 - fy)
+        + px[y1, x0] * (1 - fx) * fy
+        + px[y1, x1] * fx * fy
+    )
+
+
+@st.composite
+def sample_points(draw):
+    """An image of 1 to 12 px a side, and points in it: exact pixels, the last row and column."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    dtype = draw(st.sampled_from([np.uint8, np.float64]))
+    px = draw(hnp.arrays(dtype, (h, w), elements=st.integers(0, 255)))
+
+    def coord(top):
+        return st.one_of(
+            st.integers(0, top).map(float),
+            st.just(float(top)),
+            st.floats(0, top, allow_nan=False),
+        )
+
+    pts = draw(st.lists(st.tuples(coord(w - 1), coord(h - 1)), min_size=1, max_size=30))
+    xs, ys = np.array(pts).T
+    return px, xs, ys
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sample_points())
+def test_bilinear_sample_matches_oracle(case):
+    px, xs, ys = case
+    got = imaging.bilinear_sample(px, xs, ys)
+    assert np.array_equal(got, oracle_bilinear_sample(px, xs, ys))
+    grid = (xs.reshape(-1, 1), ys.reshape(-1, 1))
+    assert np.array_equal(imaging.bilinear_sample(px, *grid), oracle_bilinear_sample(px, *grid))
+
+
+def test_bilinear_sample_reads_the_last_pixel_exactly():
+    px = np.arange(20, dtype=np.uint8).reshape(4, 5)
+    got = imaging.bilinear_sample(px, np.array([4.0, 0.0, 4.0]), np.array([3.0, 3.0, 0.0]))
+    assert got.tolist() == [19.0, 15.0, 4.0]
+
+
+@pytest.mark.parametrize("x,y", [
+    (-0.5, 1.0), (-1e-12, 1.0), (1.0, -0.5),
+    (4.0 + 1e-9, 1.0), (5.0, 1.0), (1.0, 3.0 + 1e-9), (1.0, 4.0),
+    (float("nan"), 1.0), (1.0, float("nan")),
+])
+def test_bilinear_sample_rejects_points_outside_the_image(x, y):
+    # A 5x4 image: x must lie in [0, 4] and y in [0, 3].
+    px = np.arange(20, dtype=np.float64).reshape(4, 5)
+    with pytest.raises(ValueError, match="outside"):
+        imaging.bilinear_sample(px, np.array([0.0, x]), np.array([0.0, y]))
+
+
+def test_bilinear_sample_accepts_no_points():
+    px = np.zeros((4, 5))
+    assert imaging.bilinear_sample(px, np.empty((0, 17)), np.empty((0, 17))).shape == (0, 17)
+
+
+# Reference corner search: one subset of the support points at a time.
+# _initial_corner_indices must return the same indices or also raise.
+def oracle_initial_corner_indices(pts: np.ndarray) -> list[int]:
+    scores = pts @ imaging._SUPPORT_DIRS.T
+    candidates = sorted(set(int(np.argmax(scores[:, k])) for k in range(8)))
+    if len(candidates) < 4:
+        raise NotAQuadError("not a quad")
+    best, best_area = None, 0.0
+    for combo in combinations(candidates, 4):
+        p = pts[list(combo)]
+        cen = p.mean(axis=0)
+        order = np.argsort(np.arctan2(p[:, 1] - cen[1], p[:, 0] - cen[0]))
+        q = p[order]
+        area = abs(
+            float(np.dot(q[:, 0], np.roll(q[:, 1], -1)) - np.dot(np.roll(q[:, 0], -1), q[:, 1]))
+        ) / 2.0
+        if area > best_area:
+            best_area = area
+            best = [combo[i] for i in order]
+    if best is None or best_area < 2.0:
+        raise NotAQuadError("not a quad")
+    return best
+
+
+def assert_corner_indices_match_oracle(pts: np.ndarray) -> bool:
+    """True when a quad was found; both must agree on the indices or both raise."""
+    pts = np.asarray(pts, dtype=np.float64)
+    try:
+        want = oracle_initial_corner_indices(pts)
+    except NotAQuadError:
+        with pytest.raises(NotAQuadError):
+            imaging._initial_corner_indices(pts)
+        return False
+    got = imaging._initial_corner_indices(pts)
+    assert got == want and all(type(i) is int for i in got)
+    return True
+
+
+def _square(x0, y0, side):
+    s = [(x0 + x, y0) for x in range(side)]
+    s += [(x0 + side - 1, y0 + y) for y in range(1, side)]
+    s += [(x0 + x, y0 + side - 1) for x in range(side - 2, -1, -1)]
+    s += [(x0, y0 + y) for y in range(side - 2, 0, -1)]
+    return s
+
+
+def _diamond(r):
+    """The traced outline of a 45-degree square of radius r."""
+    y, x = np.mgrid[: 2 * r + 3, : 2 * r + 3]
+    mask = np.abs(x - r - 1) + np.abs(y - r - 1) <= r
+    (c,) = trace_contours(GreyImage(np.where(mask, 0, 255).astype(np.uint8)))
+    return c.points
+
+
+@pytest.mark.parametrize("pts", [
+    _square(0, 0, 10),
+    _square(3, 7, 2),
+    _diamond(6),
+    _diamond(2),
+    [(x, 5) for x in range(12)] + [(x, 5) for x in range(10, 0, -1)],
+    [(x, x) for x in range(8)] + [(x, x) for x in range(6, 0, -1)],
+    [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)],
+    [(0, 0), (1, 0), (1, 1), (0, 1)],
+], ids=["square", "square_2px", "diamond", "diamond_r2", "collinear_row",
+        "collinear_diagonal", "square_and_centre", "unit_square"])
+def test_initial_corner_indices_match_oracle_on_shapes(pts):
+    assert_corner_indices_match_oracle(pts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    hnp.arrays(np.bool_, st.tuples(st.integers(1, 30), st.integers(1, 30)), elements=st.booleans())
+)
+def test_initial_corner_indices_match_oracle_on_random_blobs(mask):
+    binary = GreyImage(np.where(mask, 0, 255).astype(np.uint8))
+    for contour in trace_contours(binary):
+        assert_corner_indices_match_oracle(contour.points)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=40))
+def test_initial_corner_indices_match_oracle_on_point_sets(pts):
+    assert_corner_indices_match_oracle(pts)
+
+
+def test_initial_corner_indices_match_oracle_on_frame_contours(sticker_frames):
+    found = 0
+    for img in sticker_frames.values():
+        for contour in trace_contours(binarize(img, MeanOffset(31, 10))):
+            found += assert_corner_indices_match_oracle(contour.points)
+    assert found > 10
