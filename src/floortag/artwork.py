@@ -9,14 +9,28 @@ Quadrants are numbered row-major in artwork view: 0 top-left, 1 top-right,
 (in image-axis terms) from the top-left: a0 TL, a1 TR, a2 BR, a3 BL, matching
 the QuadCorners ordering so that image-to-world correspondence is a pure
 cyclic shift.
+
+The layout fixes where every symbol module sits, so `read_sticker` reads a
+sticker seen through its outline by sampling those cells alone. The slot in
+view (numbered like the quadrants) where a symbol reads, together with the
+quadrant its payload names, gives the sticker's quarter turns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .datamatrix import Codewords, bitmap_from_codewords, encode_text, rs_encode
-from .imaging import GreyImage
+from .datamatrix import (
+    Codewords,
+    Payload,
+    bitmap_from_codewords,
+    decode_bitmap,
+    encode_text,
+    otsu_threshold,
+    rs_encode,
+)
+from .geometry import homography_dlt
+from .imaging import GreyImage, QuadCorners, bilinear_sample
 
 STICKER_SIZE_M = 0.1
 MAX_STICKER_ID = 9999  # the payload holds four id digits
@@ -46,6 +60,11 @@ def sticker_codewords(sticker_id: int) -> tuple[Codewords, ...]:
     return tuple(rs_encode(encode_text(p)) for p in sticker_payloads(sticker_id))
 
 
+def _slot_origin(slot: int) -> tuple[int, int]:
+    """Cell (row, column) of the first module of symbol slot 0..3, numbered row-major."""
+    return _SYMBOL_OFFSETS[slot // 2], _SYMBOL_OFFSETS[slot % 2]
+
+
 def sticker_cells_from_payloads(payload_texts) -> np.ndarray:
     """30x30 cell grid (True = ink) for four explicit payload strings."""
     if len(payload_texts) != 4:
@@ -58,8 +77,7 @@ def sticker_cells_from_payloads(payload_texts) -> np.ndarray:
     cells[:, -b:] = True
     for q, text in enumerate(payload_texts):
         bitmap = bitmap_from_codewords(rs_encode(encode_text(text)))
-        r0 = _SYMBOL_OFFSETS[q // 2]
-        c0 = _SYMBOL_OFFSETS[q % 2]
+        r0, c0 = _slot_origin(q)
         cells[r0 : r0 + SYMBOL_CELLS, c0 : c0 + SYMBOL_CELLS] = bitmap.modules
     return cells
 
@@ -150,3 +168,63 @@ def best_artwork_rotation(rectified: GreyImage, cells: np.ndarray) -> int:
         nref = np.linalg.norm(small)
         scores.append(float((obs * small).sum() / (denom * nref)) if nref > 1e-9 else -1.0)
     return int(np.argmax(scores))
+
+
+def quarter_turns(slot: int, quadrant: int) -> int:
+    """CCW quarter turns m that put the quadrant's symbol at the slot of rot90(artwork, m).
+
+    A CCW quarter turn moves the symbol at cell origin (r, c) to (20 - c, r).
+    """
+    if not (0 <= slot <= 3 and 0 <= quadrant <= 3):
+        raise ValueError(f"slot and quadrant must be in 0..3, got {slot} and {quadrant}")
+    r, c = _slot_origin(quadrant)
+    m = 0
+    while (r, c) != _slot_origin(slot):
+        r, c = CELLS - SYMBOL_CELLS - c, r
+        m += 1
+    return m
+
+
+def _module_centres() -> np.ndarray:
+    """Homogeneous artwork-unit (u, v, 1) centres of the 4 x 10 x 10 symbol modules.
+
+    Slot by slot in row-major order, then row-major within the symbol.
+    """
+    cells = np.arange(SYMBOL_CELLS)
+    origins = np.array([_slot_origin(slot) for slot in range(4)])
+    rows = origins[:, 0, None, None] + cells[None, :, None]
+    cols = origins[:, 1, None, None] + cells[None, None, :]
+    rows, cols = np.broadcast_arrays(rows, cols)
+    pts = np.column_stack(
+        [(cols.ravel() + 0.5) / CELLS, (rows.ravel() + 0.5) / CELLS, np.ones(rows.size)]
+    )
+    pts.setflags(write=False)
+    return pts
+
+
+_MODULE_CENTRES = _module_centres()
+# Artwork unit square corners in QuadCorners order, as rectify_quad maps them.
+_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def read_sticker(crop: GreyImage, quad: QuadCorners) -> tuple[Payload, int] | None:
+    """The first symbol that decodes at its known cells, with its slot in view; or None.
+
+    One homography from the artwork unit square to the quad (crop pixels)
+    maps the 400 symbol module centres into the crop. Their samples are
+    binarised at one Otsu threshold and the slots decoded in row-major order;
+    every symbol carries the sticker id, so the first read ends the search.
+    Pass the slot and the payload's quadrant to quarter_turns for the
+    sticker's orientation.
+    """
+    h = homography_dlt(_UNIT_SQUARE, quad.corners)
+    mapped = _MODULE_CENTRES @ h.T
+    xs = np.clip(mapped[:, 0] / mapped[:, 2], 0, crop.width - 1)
+    ys = np.clip(mapped[:, 1] / mapped[:, 2], 0, crop.height - 1)
+    levels = np.rint(bilinear_sample(crop.pixels, xs, ys))
+    dark = levels < otsu_threshold(levels)
+    for slot, modules in enumerate(dark.reshape(4, SYMBOL_CELLS, SYMBOL_CELLS)):
+        result = decode_bitmap(modules)
+        if result is not None:
+            return result[0], slot
+    return None

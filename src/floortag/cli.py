@@ -7,11 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import artwork, blur
 from .bench import run_benchmark
-from .clustering import Cluster, roi_from_cluster
 from .geometry import (
     DOWNWARD_BASE,
     CameraIntrinsics,
@@ -26,6 +23,7 @@ from .pipeline import (
     PipelineConfig,
     extract_corners,
     identify_crop,
+    outline_crop,
     process_sequence,
 )
 from .simulate import RenderConfig, render, save_truth
@@ -144,14 +142,8 @@ def _cmd_identify(args) -> int:
     if corners is None:
         print("error: no sticker outline found", file=sys.stderr)
         return 1
-    # Identify on the outline's box widened as the pipeline widens its ROIs:
-    # every candidate is rendered over the whole image it is given.
-    quad = corners.corners
-    roi = roi_from_cluster(
-        Cluster(quad.mean(axis=0), np.arange(4)), quad, img.width, img.height, cfg.roi_margin
-    )
-    crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
-    result = identify_crop(crop, quad - (roi.x0, roi.y0), wmap, bank, candidates, cfg)
+    crop, quad = outline_crop(img, corners.corners, cfg.roi_margin)
+    result = identify_crop(crop, quad, wmap, bank, candidates, cfg)
     if result is None:
         print("error: no features around the sticker outline", file=sys.stderr)
         return 1

@@ -3,9 +3,12 @@
 Galois field GF(256) with the Data Matrix polynomial x^8+x^5+x^3+x^2+1 and
 generator roots alpha^1..alpha^5. Only the 10x10 size is supported.
 
-A sticker carries four symbols with the same id, so decoding a sticker reads
-one symbol: `decode_roi_detail` skips the sticker's own outline and stops at
-the first symbol that decodes.
+`decode_bitmap` decodes a sampled 10x10 module grid. The pipeline samples
+those grids at the sticker's known symbol cells (`artwork.read_sticker`), so
+it needs no symbol search. `decode_roi_detail` finds symbols in an image of
+unknown layout, a crop or a rectified sticker (`rectify_quad`): it fits a
+rectangle to each contour, skips the sticker's own outline, and stops at the
+first symbol that decodes.
 """
 
 from __future__ import annotations

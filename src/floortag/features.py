@@ -203,10 +203,13 @@ def _pretest(flat: np.ndarray, h: int, w: int, step: int) -> np.ndarray:
     return np.concatenate(found)
 
 
+_RING_BITS = (1 << np.arange(16)).astype(np.uint16)
+
+
 def _ring_masks(passed: np.ndarray) -> np.ndarray:
     """(16, n) ring tests to n 16-bit masks: bit i is set when ring pixel i passed."""
-    packed = np.packbits(passed, axis=0, bitorder="little").astype(np.uint16)
-    return packed[0] | packed[1] << 8
+    # A sum of distinct powers of two: exact, and at most 0xFFFF.
+    return _RING_BITS @ passed
 
 
 def _fast_candidates(pixels: np.ndarray, threshold: float):

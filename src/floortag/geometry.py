@@ -427,6 +427,10 @@ def refine_pose(intr: CameraIntrinsics, pose0: Pose, world_points, pixels) -> Re
             except np.linalg.LinAlgError:
                 lam *= 10
                 continue
+            # At the rounding floor a step this short can raise the cost; it
+            # is converged either way, and damping it further gains nothing.
+            if np.linalg.norm(delta) < REFINE_STEP_TOL:
+                return RefineResult(pose, np.sqrt(cost / n), iterations, True)
             candidate = apply_pose_update(pose, delta)
             r_new = reprojection_residuals(intr, candidate, pts, pix)
             cost_new = float(r_new @ r_new)
@@ -439,6 +443,4 @@ def refine_pose(intr: CameraIntrinsics, pose0: Pose, world_points, pixels) -> Re
         if not stepped:
             # Never improved from pose0: report divergence with the input pose.
             return RefineResult(pose, np.sqrt(cost / n), iterations, pose is not pose0)
-        if np.linalg.norm(delta) < REFINE_STEP_TOL:
-            return RefineResult(pose, np.sqrt(cost / n), iterations, True)
     return RefineResult(pose, np.sqrt(cost / n), iterations, True)

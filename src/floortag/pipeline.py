@@ -1,9 +1,14 @@
 """Frame-level orchestration: detect, cluster, decode, pose, with identify fallback.
 
 A frame is matched against the generic detection reference; matched keypoints
-are clustered into per-sticker ROIs; each ROI is decoded and, when decoding
-fails, identified against candidate references pruned around the last known
-position. Any successful identification feeds the planar pose chain.
+are clustered into per-sticker ROIs, and each ROI's sticker outline is traced
+to a quad. Every quad is first read at the artwork's known symbol cells
+(`artwork.read_sticker`): the first read the map knows names the sticker, and
+the slot it was read at gives the sticker's quarter turns. When no ROI reads,
+each quad is identified on its outline's crop against candidate references
+pruned around the last known position; only the accepted ROI is rectified,
+to find the quarter turns by correlation. Either way the quad feeds the planar
+pose chain.
 """
 
 from __future__ import annotations
@@ -121,7 +126,6 @@ class _RoiContext:
     roi: clustering.Roi
     crop: GreyImage
     corners: QuadCorners | None  # crop-local
-    flat: GreyImage | None = None  # the quad rectified, once decoding has tried it
 
 
 class _StageClock:
@@ -148,6 +152,22 @@ def extract_corners(crop: GreyImage, min_area: float) -> QuadCorners | None:
     return None
 
 
+def outline_crop(img: GreyImage, quad: np.ndarray, margin: float) -> tuple[GreyImage, np.ndarray]:
+    """The quad's bounding box widened by margin per side, clipped to img and cut; the quad in it.
+
+    Identification renders every candidate over the whole crop it is given,
+    so it gets this box: a cluster ROI that took in stray matches can be
+    several times the sticker's size. The pipeline passes the ROI as img, so
+    the crop is never larger than the ROI, even when a sticker cut by the
+    frame edge gives a quad whose corners lie far outside it.
+    """
+    roi = clustering.roi_from_cluster(
+        clustering.Cluster(quad.mean(axis=0), np.arange(4)), quad, img.width, img.height, margin
+    )
+    crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
+    return crop, quad - (roi.x0, roi.y0)
+
+
 def identify_crop(
     crop: GreyImage,
     quad: np.ndarray,
@@ -159,8 +179,12 @@ def identify_crop(
     """Identify the sticker outlined by quad (crop pixels) without decoding it.
 
     The smear is fitted with the first candidate as the probe, then every
-    candidate is scored in that view. None when the crop has no features.
+    candidate is scored in that view. None when the crop has no features,
+    as one that spans at most twice the descriptor margin has none: the
+    outline's crop of a sticker cut by the frame edge can be that narrow.
     """
+    if min(crop.width, crop.height) <= 2 * features.MARGIN:
+        return None
     feats = features.detect_and_describe(
         crop, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
     )
@@ -263,17 +287,18 @@ def process_frame(
     for ctx in contexts:
         if ctx.corners is None:
             continue
-        ctx.flat = datamatrix.rectify_quad(ctx.crop, ctx.corners, datamatrix.RECTIFIED_STICKER_PX)
-        for read in datamatrix.decode_roi_detail(ctx.flat):
-            try:
-                sticker = warehouse.lookup_by_payload(warehouse_map, read.payload)
-            except warehouse.UnknownPayloadError:
-                continue
-            chosen = ctx
-            method = METHOD_DECODED
-            break
-        if sticker is not None:
-            break
+        read = artwork.read_sticker(ctx.crop, ctx.corners)
+        if read is None:
+            continue
+        payload, slot = read
+        try:
+            sticker = warehouse.lookup_by_payload(warehouse_map, payload)
+        except warehouse.UnknownPayloadError:
+            continue
+        turns = artwork.quarter_turns(slot, sticker.payloads.index(payload.text))
+        chosen = ctx
+        method = METHOD_DECODED
+        break
     clock.lap("decode")
 
     if sticker is None:
@@ -284,25 +309,27 @@ def process_frame(
         for ctx in contexts:
             if ctx.corners is None or not candidates:
                 continue
-            result = identify_crop(
-                ctx.crop, ctx.corners.corners, warehouse_map, bank, candidates, cfg
-            )
+            crop, quad = outline_crop(ctx.crop, ctx.corners.corners, cfg.roi_margin)
+            result = identify_crop(crop, quad, warehouse_map, bank, candidates, cfg)
             if result is not None and result.accepted:
                 sticker = warehouse_map.get(result.sticker_id)
+                flat = datamatrix.rectify_quad(
+                    ctx.crop, ctx.corners, datamatrix.RECTIFIED_STICKER_PX
+                )
+                turns = artwork.best_artwork_rotation(
+                    flat, artwork.sticker_cells_from_payloads(list(sticker.payloads))
+                )
                 chosen = ctx
                 method = METHOD_IDENTIFIED
                 break
     clock.lap("identify")
 
-    if sticker is None or chosen is None or chosen.flat is None:
+    if sticker is None or chosen is None:
         return (
             LocalisationResult(frame_id, OUTCOME_DETECTED_UNREAD, timings_ms=clock.timings),
             state,
         )
 
-    turns = artwork.best_artwork_rotation(
-        chosen.flat, artwork.sticker_cells_from_payloads(list(sticker.payloads))
-    )
     frame_corners = chosen.corners.corners + (chosen.roi.x0, chosen.roi.y0)
     solved = _pose_from_quad(intr, sticker, frame_corners, turns, cfg.max_reprojection_rms)
     clock.lap("pose")

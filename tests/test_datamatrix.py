@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floortag import datamatrix, pipeline
+from floortag import artwork, datamatrix, pipeline
 from floortag.bench import sample_camera_pose
 from floortag.datamatrix import (
     RECTIFIED_STICKER_PX,
@@ -31,7 +31,12 @@ from floortag.geometry import CameraIntrinsics, camera_world_position
 from floortag.identify import ReferenceBank
 from floortag.imaging import GreyImage, QuadCorners, trace_contours
 from floortag.simulate import RenderConfig, exposure_for_blur_px, render
-from floortag.warehouse import WarehouseMap, generate_grid_map
+from floortag.warehouse import (
+    UnknownPayloadError,
+    WarehouseMap,
+    generate_grid_map,
+    lookup_by_payload,
+)
 
 
 # Independent GF(256) arithmetic (russian peasant, polynomial 0x12D) used as
@@ -466,15 +471,45 @@ def assert_first_read_of_reference(img: GreyImage) -> list[datamatrix.SymbolRead
 
 
 INTR = CameraIntrinsics.reference_camera(binning=2)
-RECTIFY = datamatrix.rectify_quad
+READ_STICKER = artwork.read_sticker
 
 
-def recording_rectify(seen: list[GreyImage]):
-    """A rectify_quad that keeps every rectified sticker in seen."""
-    def rectify(*args):
-        seen.append(RECTIFY(*args))
-        return seen[-1]
-    return rectify
+def recording_reads(flats: list[GreyImage], reads: list | None = None):
+    """A read_sticker that keeps the rectified sticker of every quad it is given.
+
+    The pipeline no longer rectifies a quad it reads; this rectifies each one
+    as the decode stage did before, from the same ROI crop and corners.
+    """
+    def read(crop, quad):
+        flats.append(datamatrix.rectify_quad(crop, quad, RECTIFIED_STICKER_PX))
+        result = READ_STICKER(crop, quad)
+        if reads is not None:
+            reads.append(result)
+        return result
+    return read
+
+
+def reference_reader(wmap: WarehouseMap):
+    """read_sticker's contract met by the rectify, every-contour and correlation path.
+
+    Returns the first read of the rectified sticker that the map holds, else
+    its first read, with the slot where the correlated quarter turns put it.
+    """
+    def read(crop, quad):
+        flat = datamatrix.rectify_quad(crop, quad, RECTIFIED_STICKER_PX)
+        reads = reference_decode_roi_detail(flat)
+        for r in reads:
+            try:
+                sticker = lookup_by_payload(wmap, r.payload)
+            except UnknownPayloadError:
+                continue
+            cells = artwork.sticker_cells_from_payloads(list(sticker.payloads))
+            turns = artwork.best_artwork_rotation(flat, cells)
+            quadrant = sticker.payloads.index(r.payload.text)
+            return r.payload, next(s for s in range(4) if artwork.quarter_turns(s, quadrant) == turns)
+        # The pipeline skips an unregistered read wherever it sits.
+        return (reads[0].payload, 0) if reads else None
+    return read
 
 
 @pytest.fixture(scope="module")
@@ -506,16 +541,16 @@ def seeded_frames(grid_map):
 
 @pytest.fixture(scope="module")
 def rectified_stickers(seeded_frames, grid_map):
-    """Every rectified sticker the decode stage sees in the seeded frames.
+    """The rectified sticker of every quad the decode stage reads in the seeded frames.
 
-    Identification is switched off: it rectifies nothing, and on the smeared
-    frame it would dominate the run time.
+    Identification is switched off: on the smeared frame it would dominate
+    the run time.
     """
     bank = ReferenceBank.build(grid_map, INTR)
     flats: dict[str, list[GreyImage]] = {}
     for kind, frame in seeded_frames.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(datamatrix, "rectify_quad", recording_rectify(flats.setdefault(kind, [])))
+            mp.setattr(artwork, "read_sticker", recording_reads(flats.setdefault(kind, [])))
             mp.setattr(pipeline, "identify_crop", lambda *args: None)
             pipeline.process_frame(frame, grid_map, INTR, bank)
     return flats
@@ -580,8 +615,6 @@ def test_decode_stops_at_first_read_on_symbols_and_blank():
 
 def test_decode_stops_at_first_read_on_a_whole_sticker():
     # Four symbols in one image: the reference reads all of them.
-    from floortag import artwork
-
     sticker = artwork.render_sticker(6, RECTIFIED_STICKER_PX)
     want = assert_first_read_of_reference(sticker)
     assert sorted(r.payload.text for r in want) == list(artwork.sticker_payloads(6))
@@ -596,7 +629,7 @@ def _localise_both_ways(frame, wmap):
     bank = ReferenceBank.build(wmap, INTR)
     got, _ = pipeline.process_frame(frame, wmap, INTR, bank, timestamp=0.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datamatrix, "decode_roi_detail", reference_decode_roi_detail)
+        mp.setattr(artwork, "read_sticker", reference_reader(wmap))
         want, _ = pipeline.process_frame(frame, wmap, INTR, bank, timestamp=0.0)
     return _outcome(got), _outcome(want)
 
@@ -610,14 +643,17 @@ def test_pipeline_result_unchanged_by_the_early_stop(seeded_frames, grid_map, ki
 
 def test_pipeline_result_unchanged_when_the_sticker_is_not_in_the_map(seeded_frames, grid_map):
     # Sticker 4 is in view but missing from the map: every read is an
-    # unregistered payload, and both decoders fall through to identification.
+    # unregistered payload, and both readers fall through to identification.
     partial = WarehouseMap([s for s in grid_map if s.id != 4])
     frame = seeded_frames["sharp41"]
     seen: list[GreyImage] = []
+    read: list = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(datamatrix, "rectify_quad", recording_rectify(seen))
+        mp.setattr(artwork, "read_sticker", recording_reads(seen, read))
         got, want = _localise_both_ways(frame, partial)
     reads = [r.payload.text for flat in seen for r in reference_decode_roi_detail(flat)]
     assert reads and all(text.startswith("0004") for text in reads)
+    read_texts = [r[0].text for r in read if r is not None]
+    assert read_texts and all(text.startswith("0004") for text in read_texts)
     assert got == want
     assert got[2] != pipeline.METHOD_DECODED

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from floortag import geometry
+from floortag.bench import sample_camera_pose
 from floortag.geometry import (
     BehindCameraError,
     CameraIntrinsics,
@@ -239,6 +241,38 @@ def test_refine_reduces_noisy_rms():
         if result.rms > rms0 + 1e-12:
             worse += 1
     assert worse == 0
+
+
+def test_refine_stops_at_a_converged_step_without_applying_it(monkeypatch):
+    # Seeded quads with traced-outline noise, on the pipeline's camera.
+    intr = CameraIntrinsics.reference_camera(binning=2)
+    updates = [0]
+    real = geometry.apply_pose_update
+
+    def counted(pose, delta):
+        updates[0] += 1
+        return real(pose, delta)
+
+    monkeypatch.setattr(geometry, "apply_pose_update", counted)
+    total_updates = total_iterations = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pose = sample_camera_pose(rng, (0.0, 0.0))
+        pixels = project_many(intr, pose, STICKER_CORNERS) + rng.normal(0, 0.02, size=(4, 2))
+        p0 = pose_from_homography(intr, homography_dlt(STICKER_CORNERS[:, :2], pixels))
+        updates[0] = 0
+        first = refine_pose(intr, p0, STICKER_CORNERS, pixels)
+        assert first.converged
+        total_updates += updates[0]
+        total_iterations += first.iterations
+        # Restarted at its own optimum, the first step is below the tolerance.
+        updates[0] = 0
+        again = refine_pose(intr, first.pose, STICKER_CORNERS, pixels)
+        assert (updates[0], again.iterations, again.converged) == (0, 1, True)
+        assert again.pose is first.pose
+    # The last iteration applies nothing, so damping retries must be rare for
+    # the updates to stay within one per iteration.
+    assert total_updates <= total_iterations
 
 
 def test_jacobian_matches_finite_differences():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from floortag import datamatrix, imaging, pipeline
+from floortag import artwork, datamatrix, imaging, pipeline
+from floortag.artwork import read_sticker
 from floortag.bench import sample_camera_pose
 from floortag.geometry import CameraIntrinsics, camera_world_position
 from floortag.identify import ReferenceBank
@@ -308,10 +309,13 @@ def test_trace_contours_matches_oracle_on_random_masks(mask):
 
 @pytest.fixture(scope="module")
 def pipeline_binaries(sticker_frames):
-    """Every binary the decode stage traces in a sharp and a 10 px-smeared frame.
+    """Every binary the quad stage traces in a sharp and a 10 px-smeared frame,
+    and those decode_roi_detail traces on the rectified sticker of each quad
+    the decode stage reads.
 
-    Identification is switched off: it traces nothing, and on the smeared
-    frame it would dominate the run time.
+    The pipeline itself no longer rectifies a quad it reads, so each one is
+    rectified here from the same ROI crop and corners. Identification is
+    switched off: on the smeared frame it would dominate the run time.
     """
     intr = CameraIntrinsics.reference_camera(binning=2)
     wmap = generate_grid_map(3, 3, 1.0)
@@ -324,9 +328,15 @@ def pipeline_binaries(sticker_frames):
             binaries.append(binary)
             return trace_contours(binary)
 
+        def reading(crop, quad):
+            flat = datamatrix.rectify_quad(crop, quad, datamatrix.RECTIFIED_STICKER_PX)
+            datamatrix.decode_roi_detail(flat)
+            return read_sticker(crop, quad)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pipeline, "trace_contours", recording)
             mp.setattr(datamatrix, "trace_contours", recording)
+            mp.setattr(artwork, "read_sticker", reading)
             mp.setattr(pipeline, "identify_crop", lambda *args: None)
             pipeline.process_frame(frame, wmap, intr, bank)
     return seen

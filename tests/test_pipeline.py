@@ -168,3 +168,40 @@ def test_result_json_shape(wmap, bank):
     assert d["outcome"] == OUTCOME_NO_STICKER
     assert d["error"] is None
     assert d["position"] is None
+
+
+def test_identify_crop_on_a_crop_narrower_than_the_feature_margin_is_none(wmap, bank):
+    # The outline's crop of a sticker cut by the frame edge can be this narrow.
+    crop = GreyImage(np.full((120, 17), 90, dtype=np.uint8))
+    quad = np.array([[2.0, 10.0], [15.0, 10.0], [15.0, 100.0], [2.0, 100.0]])
+    assert pipeline.identify_crop(crop, quad, wmap, bank, wmap.ids, PipelineConfig()) is None
+
+
+def _edge_frame(wmap, cam, spin):
+    img, _ = render(wmap, INTR, downward_camera_pose(cam, spin=spin), RenderConfig(seed=1))
+    return img
+
+
+@pytest.mark.parametrize("cam, spin", [((1.52, 1.0, 1.0), 0.0), ((1.0, 1.58, 1.0), 0.6)])
+def test_identification_crops_stay_inside_the_roi_at_the_frame_edge(wmap, bank, monkeypatch, cam, spin):
+    # No sticker reads in these frames: at (1.52, 1, 1) the only outline's
+    # crop is 17-18 px wide, and at (1, 1.58, 1) the traced quad's corners
+    # lie ~1e5 px outside the frame, so its widened box is the whole frame.
+    rois, crops = [], []
+    real_extract, real_identify = pipeline.extract_corners, pipeline.identify_crop
+
+    def extract(crop, min_area):
+        rois.append(crop)
+        return real_extract(crop, min_area)
+
+    def identify(crop, *args):
+        crops.append(crop)
+        return real_identify(crop, *args)
+
+    monkeypatch.setattr(pipeline, "extract_corners", extract)
+    monkeypatch.setattr(pipeline, "identify_crop", identify)
+    result, _ = process_frame(_edge_frame(wmap, cam, spin), wmap, INTR, bank, timestamp=0.0)
+    assert result.outcome == OUTCOME_DETECTED_UNREAD
+    assert crops
+    for crop in crops:
+        assert any(crop.width <= r.width and crop.height <= r.height for r in rois)

@@ -1,0 +1,229 @@
+"""artwork.read_sticker: a sticker read at its known symbol cells.
+
+The reference is the path the pipeline took before: rectify the quad onto a
+240 px raster, find a symbol among its contours (decode_roi_detail) and
+correlate the four artwork rotations (best_artwork_rotation).
+"""
+
+import itertools
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from floortag import artwork, datamatrix, identify, pipeline, simulate, warehouse
+from floortag.geometry import homography_dlt
+from floortag.identify import ReferenceBank
+from floortag.imaging import GreyImage, QuadCorners, bilinear_sample
+from floortag.warehouse import generate_grid_map
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def reference_read(crop: GreyImage, quad: QuadCorners, wmap) -> tuple | None:
+    """(payload text, sticker id, turns) by the rectify + contour + correlation path.
+
+    Sticker id and turns are None for a payload the map does not hold.
+    """
+    flat = datamatrix.rectify_quad(crop, quad, datamatrix.RECTIFIED_STICKER_PX)
+    reads = datamatrix.decode_roi_detail(flat)
+    if not reads:
+        return None
+    payload = reads[0].payload
+    try:
+        sticker = warehouse.lookup_by_payload(wmap, payload)
+    except warehouse.UnknownPayloadError:
+        return payload.text, None, None
+    cells = artwork.sticker_cells_from_payloads(list(sticker.payloads))
+    return payload.text, sticker.id, artwork.best_artwork_rotation(flat, cells)
+
+
+def new_read(crop: GreyImage, quad: QuadCorners, wmap) -> tuple | None:
+    """reference_read's triple from read_sticker and quarter_turns."""
+    read = artwork.read_sticker(crop, quad)
+    if read is None:
+        return None
+    payload, slot = read
+    try:
+        sticker = warehouse.lookup_by_payload(wmap, payload)
+    except warehouse.UnknownPayloadError:
+        return payload.text, None, None
+    return payload.text, sticker.id, artwork.quarter_turns(slot, sticker.payloads.index(payload.text))
+
+
+def warp_into(src: np.ndarray, quad: np.ndarray, shape: tuple[int, int], background: float):
+    """src's square drawn into quad (QuadCorners order) on a background canvas."""
+    side = src.shape[0]
+    h = homography_dlt(quad, np.array([[0, 0], [side, 0], [side, side], [0, side]]))
+    ys, xs = np.mgrid[0 : shape[0], 0 : shape[1]]
+    mapped = np.column_stack([xs.ravel() + 0.5, ys.ravel() + 0.5, np.ones(xs.size)]) @ h.T
+    sx = mapped[:, 0] / mapped[:, 2] - 0.5
+    sy = mapped[:, 1] / mapped[:, 2] - 0.5
+    inside = (sx >= 0) & (sx <= side - 1) & (sy >= 0) & (sy <= side - 1)
+    out = np.full(shape[0] * shape[1], background)
+    out[inside] = bilinear_sample(src, sx[inside], sy[inside])
+    return GreyImage.from_float(out.reshape(shape))
+
+
+QUAD = np.array([[42.0, 30.0], [168.0, 46.0], [160.0, 172.0], [34.0, 158.0]])
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_read_sticker_gives_payload_and_turns_of_a_turned_sticker(m):
+    art = np.rot90(artwork.render_sticker(37, 150).pixels, m)
+    crop = warp_into(art.astype(np.float64), QUAD, (200, 210), 200.0)
+    payload, slot = artwork.read_sticker(crop, QuadCorners(QUAD))
+    quadrant = artwork.sticker_payloads(37).index(payload.text)
+    assert artwork.quarter_turns(slot, quadrant) == m
+    # The slot in view is the first, and it holds the quadrant m turns bring there.
+    assert slot == 0
+    flat = datamatrix.rectify_quad(crop, QuadCorners(QUAD), datamatrix.RECTIFIED_STICKER_PX)
+    assert artwork.best_artwork_rotation(flat, artwork.sticker_cells(37)) == m
+
+
+def test_quarter_turns_follow_rot90():
+    cells = artwork.sticker_cells(12)
+    for m in range(4):
+        turned = np.rot90(cells, m)
+        for q in range(4):
+            slot = next(s for s in range(4) if artwork.quarter_turns(s, q) == m)
+            r0, c0 = artwork._slot_origin(slot)
+            grid = turned[r0 : r0 + 10, c0 : c0 + 10]
+            payload, _ = datamatrix.decode_bitmap(grid)
+            assert payload.text == artwork.payload_text(12, q)
+    with pytest.raises(ValueError):
+        artwork.quarter_turns(0, 4)
+
+
+def test_read_sticker_skips_a_slot_damaged_beyond_correction():
+    cells = artwork.sticker_cells(21)
+    # Invert every other data row of the first symbol: too many codeword
+    # errors for Reed-Solomon, with the finder pattern intact.
+    first = cells[4:14, 4:14]
+    first[1:9:2, 1:9] = ~first[1:9:2, 1:9]
+    assert datamatrix.decode_bitmap(first) is None
+    crop = warp_into(artwork.render_cells(cells, 150).pixels.astype(np.float64), QUAD, (200, 210), 200.0)
+    payload, slot = artwork.read_sticker(crop, QuadCorners(QUAD))
+    assert (payload.text, slot) == (artwork.payload_text(21, 1), 1)
+    assert artwork.quarter_turns(slot, 1) == 0
+
+
+def test_read_sticker_on_a_blank_crop_is_none():
+    assert artwork.read_sticker(GreyImage(np.full((200, 210), 180, np.uint8)), QuadCorners(QUAD)) is None
+    noise = np.random.default_rng(3).integers(0, 256, size=(200, 210)).astype(np.uint8)
+    assert artwork.read_sticker(GreyImage(noise), QuadCorners(QUAD)) is None
+
+
+def test_read_sticker_clips_a_quad_that_leaves_the_crop():
+    art = artwork.render_sticker(5, 150).pixels.astype(np.float64)
+    crop = warp_into(art, QUAD, (200, 210), 200.0)
+    # The outline's corners just outside the crop: module centres stay inside.
+    shifted = GreyImage(crop.pixels[28:, 30:].copy())
+    payload, slot = artwork.read_sticker(shifted, QuadCorners(QUAD - (30, 28)))
+    assert payload.text == artwork.payload_text(5, 0) and slot == 0
+
+
+def _harness():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import harness
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return harness
+
+
+def _pipeline_rois(img, wmap, intr, bank):
+    """Every (crop, quad) the pipeline's quad stage found, identification off."""
+    rois = []
+    real = pipeline.extract_corners
+
+    def recording(crop, min_area):
+        corners = real(crop, min_area)
+        if corners is not None:
+            rois.append((crop, corners))
+        return corners
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "extract_corners", recording)
+        mp.setattr(pipeline, "identify_crop", lambda *args: None)
+        pipeline.process_frame(img, wmap, intr, bank)
+    return rois
+
+
+@pytest.mark.parametrize(
+    "name, seed, frames", [("sharp", 77, 4), ("large-map", 77, 2), ("blur10", 5, 2)]
+)
+def test_read_sticker_agrees_with_the_rectified_path_on_seeded_frames(name, seed, frames):
+    harness = _harness()
+    wl = harness.WORKLOADS[name]
+    intr = harness.camera()
+    wmap = generate_grid_map(wl.grid, wl.grid, harness.PITCH_M)
+    bank = ReferenceBank.build(wmap, intr)
+    seen = reads = 0
+    for pose, cfg in itertools.islice(harness.frame_specs(wl, wmap, intr, seed), frames):
+        img, _ = simulate.render(wmap, intr, pose, cfg)
+        for crop, quad in _pipeline_rois(img, wmap, intr, bank):
+            want = reference_read(crop, quad, wmap)
+            got = new_read(crop, quad, wmap)
+            # Either read may come from another of the sticker's four symbols.
+            assert (got is None) == (want is None)
+            assert got is None or got[1:] == want[1:]
+            seen += 1
+            reads += got is not None
+    assert seen >= frames
+    if name != "blur10":
+        assert reads >= frames
+
+
+def _spies(monkeypatch):
+    calls: dict[str, int] = {}
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(datamatrix, "rectify_quad", "rectify_quad")
+    spy(identify, "rectify_quad", "identify.rectify_quad")
+    spy(datamatrix, "decode_roi_detail", "decode_roi_detail")
+    spy(artwork, "best_artwork_rotation", "best_artwork_rotation")
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sharp_frame():
+    harness = _harness()
+    intr = harness.camera()
+    wmap = generate_grid_map(3, 3, harness.PITCH_M)
+    pose, cfg = next(harness.frame_specs(harness.WORKLOADS["sharp"], wmap, intr, 1))
+    img, _ = simulate.render(wmap, intr, pose, cfg)
+    return img, wmap, intr, ReferenceBank.build(wmap, intr)
+
+
+def test_a_decoded_frame_rectifies_and_searches_nothing(sharp_frame, monkeypatch):
+    img, wmap, intr, bank = sharp_frame
+    calls = _spies(monkeypatch)
+    result, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
+    assert result.outcome == pipeline.OUTCOME_LOCALISED
+    assert result.method == pipeline.METHOD_DECODED
+    assert calls == {}
+
+
+def test_an_identified_frame_rectifies_its_accepted_roi_once(sharp_frame, monkeypatch):
+    img, wmap, intr, bank = sharp_frame
+    decoded, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
+    calls = _spies(monkeypatch)
+    monkeypatch.setattr(artwork, "read_sticker", lambda crop, quad: None)
+    result, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
+    assert result.method == pipeline.METHOD_IDENTIFIED
+    assert result.sticker_id == decoded.sticker_id
+    # The pipeline's own rectification; estimate_view rectifies its probe
+    # view once per ROI it identifies, through identify's binding.
+    assert calls["rectify_quad"] == 1
+    assert calls.get("decode_roi_detail", 0) == 0
+    assert np.linalg.norm(result.position - decoded.position) < 0.01
