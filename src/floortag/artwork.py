@@ -29,8 +29,7 @@ from .datamatrix import (
     otsu_threshold,
     rs_encode,
 )
-from .geometry import homography_dlt
-from .imaging import GreyImage, QuadCorners, bilinear_sample
+from .imaging import GreyImage, QuadCorners, sample_quad
 
 STICKER_SIZE_M = 0.1
 MAX_STICKER_ID = 9999  # the payload holds four id digits
@@ -203,8 +202,6 @@ def _module_centres() -> np.ndarray:
 
 
 _MODULE_CENTRES = _module_centres()
-# Artwork unit square corners in QuadCorners order, as rectify_quad maps them.
-_UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def read_sticker(crop: GreyImage, quad: QuadCorners) -> tuple[Payload, int] | None:
@@ -217,11 +214,7 @@ def read_sticker(crop: GreyImage, quad: QuadCorners) -> tuple[Payload, int] | No
     Pass the slot and the payload's quadrant to quarter_turns for the
     sticker's orientation.
     """
-    h = homography_dlt(_UNIT_SQUARE, quad.corners)
-    mapped = _MODULE_CENTRES @ h.T
-    xs = np.clip(mapped[:, 0] / mapped[:, 2], 0, crop.width - 1)
-    ys = np.clip(mapped[:, 1] / mapped[:, 2], 0, crop.height - 1)
-    levels = np.rint(bilinear_sample(crop.pixels, xs, ys))
+    levels = np.rint(sample_quad(crop.pixels, quad.corners, 1.0, _MODULE_CENTRES))
     dark = levels < otsu_threshold(levels)
     for slot, modules in enumerate(dark.reshape(4, SYMBOL_CELLS, SYMBOL_CELLS)):
         result = decode_bitmap(modules)

@@ -6,21 +6,20 @@ generator roots alpha^1..alpha^5. Only the 10x10 size is supported.
 `decode_bitmap` decodes a sampled 10x10 module grid. The pipeline samples
 those grids at the sticker's known symbol cells (`artwork.read_sticker`), so
 it needs no symbol search. `decode_roi_detail` finds symbols in an image of
-unknown layout, a crop or a rectified sticker (`rectify_quad`): it fits a
-rectangle to each contour, skips the sticker's own outline, and stops at the
-first symbol that decodes.
+unknown layout, a crop or a rectified sticker: it fits a rectangle to each
+contour, skips the sticker's own outline, and stops at the first symbol that
+decodes. `rectify_quad` warps a quad onto a square raster, which the pipeline
+does only to orient a sticker it identifies (`identify.estimate_view`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .geometry import homography_dlt
-from .imaging import GreyImage, QuadCorners, bilinear_sample, trace_contours
+from .imaging import GreyImage, QuadCorners, sample_quad, trace_contours
 
 SYMBOL_SIZE = 10
 DATA_REGION = 8
@@ -516,50 +515,24 @@ def min_area_rect(points: np.ndarray) -> np.ndarray:
 
 def _grid_from_quad(px: np.ndarray, quad: np.ndarray, threshold: float) -> np.ndarray:
     """Sample the 10x10 module centres of an arbitrary quad via its homography."""
-    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    h = homography_dlt(unit, quad)
     cc, rr = np.meshgrid(
         (np.arange(SYMBOL_SIZE) + 0.5) / SYMBOL_SIZE,
         (np.arange(SYMBOL_SIZE) + 0.5) / SYMBOL_SIZE,
     )
     pts = np.column_stack([cc.ravel(), rr.ravel(), np.ones(SYMBOL_SIZE**2)])
-    mapped = pts @ h.T
-    xs = mapped[:, 0] / mapped[:, 2]
-    ys = mapped[:, 1] / mapped[:, 2]
-    hgt, wid = px.shape
-    xs = np.clip(xs, 0, wid - 1)
-    ys = np.clip(ys, 0, hgt - 1)
-    vals = bilinear_sample(px, xs, ys)
+    vals = sample_quad(px, quad, 1.0, pts)
     return (vals < threshold).reshape(SYMBOL_SIZE, SYMBOL_SIZE)
 
 
-@functools.lru_cache(maxsize=4)
-def _pixel_centres(size: int) -> np.ndarray:
-    """Read-only homogeneous (x, y, 1) centres of a size x size raster, row-major."""
-    xs, ys = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
-    pts = np.column_stack([xs.ravel(), ys.ravel(), np.ones(size * size)])
-    pts.setflags(write=False)
-    return pts
-
-
 def rectify_quad(img: GreyImage, corners: QuadCorners, size: int) -> GreyImage:
-    """Warp the quad interior onto a size x size square raster."""
-    dst = np.array([[0.0, 0.0], [size, 0.0], [size, size], [0.0, size]])
-    h = homography_dlt(dst, corners.corners)
-    mapped = _pixel_centres(size) @ h.T
-    sx = mapped[:, 0] / mapped[:, 2]
-    sy = mapped[:, 1] / mapped[:, 2]
-    sx = np.clip(sx, 0, img.width - 1)
-    sy = np.clip(sy, 0, img.height - 1)
-    out = bilinear_sample(img.pixels, sx, sy).reshape(size, size)
+    """Warp the quad interior onto a size x size square raster, sampled at pixel centres."""
+    xs, ys = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    centres = np.column_stack([xs.ravel(), ys.ravel(), np.ones(size * size)])
+    out = sample_quad(img.pixels, corners.corners, size, centres).reshape(size, size)
     return GreyImage.from_float(out)
 
 
 RECTIFIED_STICKER_PX = 240
-# Built at import, while the heap is small. Built lazily between frames, this
-# long-lived 1.4 MB raster lands among freed frame buffers, and the sharp
-# benchmark's peak RSS rose by ~29 MB.
-_pixel_centres(RECTIFIED_STICKER_PX)
 MIN_SYMBOL_SIDE_PX = 12.0
 
 

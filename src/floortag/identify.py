@@ -19,7 +19,7 @@ from . import artwork
 from .features import FeatureSet, detect_and_describe, match
 from .datamatrix import RECTIFIED_STICKER_PX, rectify_quad
 from .geometry import CameraIntrinsics, homography_dlt
-from .imaging import GreyImage, QuadCorners, bilinear_sample
+from .imaging import UNIT_SQUARE, GreyImage, QuadCorners, bilinear_sample
 from .simulate import FLOOR_LUMINANCE, sticker_texture
 from .warehouse import WarehouseMap
 
@@ -53,6 +53,7 @@ class IdentificationResult:
     score: int
     runner_up_score: int
     accepted: bool
+    turns: int  # the view's quarter turns, at which every candidate was scored
     scores: dict[int, int] = field(default_factory=dict)
 
 
@@ -111,8 +112,7 @@ def render_candidate_view(payloads, view: ViewContext) -> GreyImage:
     """Draw a candidate sticker into the view quad with the view's motion smear."""
     tex = sticker_texture(tuple(payloads))
     s = tex.shape[0]
-    dst = np.array([[0.0, 0.0], [s, 0.0], [s, s], [0.0, s]])
-    dst = dst[(np.arange(4) + view.turns) % 4]
+    dst = (s * UNIT_SQUARE)[(np.arange(4) + view.turns) % 4]
     h = homography_dlt(dst, view.quad)
     hinv = np.linalg.inv(h)
     hh, ww = view.shape
@@ -180,7 +180,8 @@ def estimate_view(
     )
     background = float(np.median(edge_px))
     # 4-fold artwork orientation from coarse correlation; payload content is a
-    # second-order effect there, so the probe candidate decides for everyone.
+    # second-order effect there, so the probe candidate decides for everyone,
+    # and the accepted sticker is posed at these turns.
     rectified = rectify_quad(roi, QuadCorners(quad), RECTIFIED_STICKER_PX)
     turns = artwork.best_artwork_rotation(
         rectified, artwork.sticker_cells_from_payloads(list(probe_payloads))
@@ -223,6 +224,7 @@ def identify_sticker(
 
     Accepted only when the score clears accept_min and the margin over the
     runner-up; otherwise the result is carried as ambiguous with all scores.
+    The result carries the view's quarter turns, which pose the winner.
     """
     candidates = list(candidates)
     if not candidates:
@@ -244,5 +246,6 @@ def identify_sticker(
         score=best,
         runner_up_score=runner_up,
         accepted=accepted,
+        turns=view.turns,
         scores=scores,
     )

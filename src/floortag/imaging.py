@@ -1,4 +1,4 @@
-"""Greyscale image container, PGM I/O, binarisation, contour tracing and quad corners.
+"""Greyscale image container, PGM I/O, binarisation, contour tracing and quads.
 
 Contour tracing is a Moore-neighbour walk driven by two tables:
 
@@ -31,6 +31,8 @@ from itertools import combinations
 
 import numpy as np
 from scipy import ndimage
+
+from .geometry import homography_dlt
 
 
 class PgmError(ValueError):
@@ -112,6 +114,25 @@ class QuadCorners:
             raise ValueError("expected 4 corner points")
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
+
+
+# Corners of the unit square in QuadCorners order; scale by a side for a square.
+UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+UNIT_SQUARE.setflags(write=False)
+
+
+def sample_quad(px: np.ndarray, quad: np.ndarray, side: float, points: np.ndarray) -> np.ndarray:
+    """Bilinear samples of px at points of a side x side square mapped into quad.
+
+    points are homogeneous (x, y, 1) rows in the square's frame; the square's
+    corners, in QuadCorners order, map onto quad's. Mapped points are clipped
+    into the image, so a quad that leaves it samples its border.
+    """
+    h = homography_dlt(side * UNIT_SQUARE, quad)
+    mapped = points @ h.T
+    xs = np.clip(mapped[:, 0] / mapped[:, 2], 0, px.shape[1] - 1)
+    ys = np.clip(mapped[:, 1] / mapped[:, 2], 0, px.shape[0] - 1)
+    return bilinear_sample(px, xs, ys)
 
 
 @dataclass(frozen=True)

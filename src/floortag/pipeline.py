@@ -6,13 +6,14 @@ to a quad. Every quad is first read at the artwork's known symbol cells
 (`artwork.read_sticker`): the first read the map knows names the sticker, and
 the slot it was read at gives the sticker's quarter turns. When no ROI reads,
 each quad is identified on its outline's crop against candidate references
-pruned around the last known position; only the accepted ROI is rectified,
-to find the quarter turns by correlation. Either way the quad feeds the planar
-pose chain.
+pruned around the last known position, and the winner takes the quarter turns
+its view was scored at (`identify.estimate_view`). Either way the quad feeds
+the planar pose chain.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 import traceback
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artwork, clustering, datamatrix, features, identify, warehouse
+from . import artwork, clustering, features, identify, warehouse
 from .geometry import (
     CameraIntrinsics,
     Pose,
@@ -313,12 +314,7 @@ def process_frame(
             result = identify_crop(crop, quad, warehouse_map, bank, candidates, cfg)
             if result is not None and result.accepted:
                 sticker = warehouse_map.get(result.sticker_id)
-                flat = datamatrix.rectify_quad(
-                    ctx.crop, ctx.corners, datamatrix.RECTIFIED_STICKER_PX
-                )
-                turns = artwork.best_artwork_rotation(
-                    flat, artwork.sticker_cells_from_payloads(list(sticker.payloads))
-                )
+                turns = result.turns
                 chosen = ctx
                 method = METHOD_IDENTIFIED
                 break
@@ -372,8 +368,11 @@ def process_sequence(
 
     The tracker starts empty. A frame whose processing raises yields an
     `error` result carrying the exception text, its traceback goes to stderr,
-    and the stream continues.
+    and the stream continues. Frame k is taken at k / fps seconds; unless fps
+    is finite and positive, the first result raises ValueError instead.
     """
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"fps must be finite and positive, got {fps}")
     state = TrackerState()
     for index, img in enumerate(frames):
         timestamp = index / fps

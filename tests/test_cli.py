@@ -123,6 +123,22 @@ def test_localize_stream(tmp_path, capsys):
     assert all(r["outcome"] == "no_sticker" for r in records)
 
 
+@pytest.mark.parametrize("fps", ["0", "-1", "nan", "inf"])
+def test_localize_stream_rejects_fps_that_is_not_finite_and_positive(tmp_path, capsys, fps):
+    map_path = tmp_path / "map.csv"
+    run(capsys, ["gen-map", "--rows", "1", "--cols", "1", "--pitch", "1.0", "--out", str(map_path)])
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    save_pgm(GreyImage(np.full((486, 648), 120, dtype=np.uint8)), frames / "frame_0000.pgm")
+    code, out, err = run(capsys, [
+        "localize-stream", "--map", str(map_path), "--dir", str(frames), "--binning", "4",
+        "--fps", fps,
+    ])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: fps must be finite and positive, got {float(fps)}\n"
+
+
 def test_bench_deterministic(tmp_path, capsys):
     argv = ["bench", "--trials", "2", "--seed", "7", "--rows", "1", "--cols", "1",
             "--pitch", "1.0", "--binning", "2"]

@@ -10,7 +10,7 @@ from scipy import ndimage
 from floortag import artwork, datamatrix, imaging, pipeline
 from floortag.artwork import read_sticker
 from floortag.bench import sample_camera_pose
-from floortag.geometry import CameraIntrinsics, camera_world_position
+from floortag.geometry import CameraIntrinsics, camera_world_position, homography_dlt
 from floortag.identify import ReferenceBank
 from floortag.imaging import (
     Contour,
@@ -18,6 +18,7 @@ from floortag.imaging import (
     MeanOffset,
     NotAQuadError,
     PgmError,
+    QuadCorners,
     binarize,
     extract_quad_corners,
     load_pgm,
@@ -610,6 +611,79 @@ def test_bilinear_sample_rejects_points_outside_the_image(x, y):
 def test_bilinear_sample_accepts_no_points():
     px = np.zeros((4, 5))
     assert imaging.bilinear_sample(px, np.empty((0, 17)), np.empty((0, 17))).shape == (0, 17)
+
+
+# The three homography-sample copies sample_quad replaced, as they were written.
+def oracle_sticker_samples(px: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """artwork.read_sticker's samples at the sticker's 400 symbol module centres."""
+    unit_square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    h = homography_dlt(unit_square, quad)
+    mapped = artwork._MODULE_CENTRES @ h.T
+    xs = np.clip(mapped[:, 0] / mapped[:, 2], 0, px.shape[1] - 1)
+    ys = np.clip(mapped[:, 1] / mapped[:, 2], 0, px.shape[0] - 1)
+    return imaging.bilinear_sample(px, xs, ys)
+
+
+def oracle_grid_samples(px: np.ndarray, quad: np.ndarray) -> np.ndarray:
+    """datamatrix._grid_from_quad's samples at one symbol's 10x10 module centres."""
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    h = homography_dlt(unit, quad)
+    cc, rr = np.meshgrid((np.arange(10) + 0.5) / 10, (np.arange(10) + 0.5) / 10)
+    pts = np.column_stack([cc.ravel(), rr.ravel(), np.ones(100)])
+    mapped = pts @ h.T
+    xs = np.clip(mapped[:, 0] / mapped[:, 2], 0, px.shape[1] - 1)
+    ys = np.clip(mapped[:, 1] / mapped[:, 2], 0, px.shape[0] - 1)
+    return imaging.bilinear_sample(px, xs, ys)
+
+
+def oracle_rectify_samples(px: np.ndarray, quad: np.ndarray, size: int) -> np.ndarray:
+    """datamatrix.rectify_quad's samples at the pixel centres of a size x size raster."""
+    dst = np.array([[0.0, 0.0], [size, 0.0], [size, size], [0.0, size]])
+    h = homography_dlt(dst, quad)
+    xs, ys = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
+    mapped = np.column_stack([xs.ravel(), ys.ravel(), np.ones(size * size)]) @ h.T
+    sx = np.clip(mapped[:, 0] / mapped[:, 2], 0, px.shape[1] - 1)
+    sy = np.clip(mapped[:, 1] / mapped[:, 2], 0, px.shape[0] - 1)
+    return imaging.bilinear_sample(px, sx, sy)
+
+
+def cell_centres(n: int, divisor: float) -> np.ndarray:
+    """(x, y, 1) rows at (k + 0.5) / divisor for k < n, row-major."""
+    xs, ys = np.meshgrid((np.arange(n) + 0.5) / divisor, (np.arange(n) + 0.5) / divisor)
+    return np.column_stack([xs.ravel(), ys.ravel(), np.ones(n * n)])
+
+
+def random_quads(rng: np.random.Generator, count: int, width: int, height: int):
+    """Jittered, turned squares in QuadCorners order; their centres may leave the image."""
+    for _ in range(count):
+        centre = rng.uniform((-10, -10), (width + 10, height + 10))
+        half = rng.uniform(6, 30)
+        angles = rng.uniform(0, 2 * np.pi) + np.array([-0.75, -0.25, 0.25, 0.75]) * np.pi
+        corners = centre + half * np.sqrt(2) * np.column_stack([np.cos(angles), np.sin(angles)])
+        yield corners + rng.uniform(-0.2, 0.2, size=(4, 2)) * half
+
+
+def test_sample_quad_equals_the_copies_it_replaced():
+    rng = np.random.default_rng(11)
+    px = rng.integers(0, 256, size=(90, 120)).astype(np.uint8)
+    outside = 0
+    for k, quad in enumerate(random_quads(np.random.default_rng(12), 300, 120, 90)):
+        outside += bool((quad < 0).any() or (quad[:, 0] > 119).any() or (quad[:, 1] > 89).any())
+        got = imaging.sample_quad(px, quad, 1.0, artwork._MODULE_CENTRES)
+        assert np.array_equal(got, oracle_sticker_samples(px, quad))
+        want = oracle_grid_samples(px, quad)
+        got = imaging.sample_quad(px, quad, 1.0, cell_centres(10, 10))
+        assert np.array_equal(got, want)
+        threshold = float(rng.uniform(60, 200))
+        grid = datamatrix._grid_from_quad(px.astype(np.float64), quad, threshold)
+        assert np.array_equal(grid, (want < threshold).reshape(10, 10))
+        size = datamatrix.RECTIFIED_STICKER_PX if k % 50 == 0 else 40
+        want = oracle_rectify_samples(px, quad, size)
+        got = imaging.sample_quad(px, quad, size, cell_centres(size, 1))
+        assert np.array_equal(got, want)
+        flat = datamatrix.rectify_quad(GreyImage(px), QuadCorners(quad), size)
+        assert np.array_equal(flat.pixels, GreyImage.from_float(want.reshape(size, size)).pixels)
+    assert 60 <= outside <= 240
 
 
 # Reference corner search: one subset of the support points at a time.

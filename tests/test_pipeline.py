@@ -115,6 +115,16 @@ def test_sequence_failure_is_an_error_not_no_sticker(wmap, bank, monkeypatch, ca
     assert "detector exploded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fps", [0.0, -1.0, float("nan"), float("inf")])
+def test_sequence_rejects_fps_that_is_not_finite_and_positive(wmap, bank, monkeypatch, fps):
+    def fail(*args, **kwargs):
+        raise AssertionError("no frame may be processed")
+
+    monkeypatch.setattr(pipeline, "process_frame", fail)
+    with pytest.raises(ValueError, match="fps must be finite and positive"):
+        list(process_sequence([blank_frame(0)], wmap, INTR, bank, fps=fps))
+
+
 def test_sequence_deterministic(wmap, bank):
     target = wmap.get(1)
     frames = []

@@ -177,13 +177,16 @@ def test_read_sticker_agrees_with_the_rectified_path_on_seeded_frames(name, seed
 
 
 def _spies(monkeypatch):
+    """Call counts of the rectification and search steps, and the functions that called them."""
     calls: dict[str, int] = {}
+    callers: dict[str, set[str]] = {}
 
     def spy(module, name, key):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[key] = calls.get(key, 0) + 1
+            callers.setdefault(key, set()).add(sys._getframe(1).f_code.co_name)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -192,7 +195,8 @@ def _spies(monkeypatch):
     spy(identify, "rectify_quad", "identify.rectify_quad")
     spy(datamatrix, "decode_roi_detail", "decode_roi_detail")
     spy(artwork, "best_artwork_rotation", "best_artwork_rotation")
-    return calls
+    spy(pipeline, "estimate_view", "estimate_view")
+    return calls, callers
 
 
 @pytest.fixture(scope="module")
@@ -207,23 +211,92 @@ def sharp_frame():
 
 def test_a_decoded_frame_rectifies_and_searches_nothing(sharp_frame, monkeypatch):
     img, wmap, intr, bank = sharp_frame
-    calls = _spies(monkeypatch)
+    calls, _ = _spies(monkeypatch)
     result, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
     assert result.outcome == pipeline.OUTCOME_LOCALISED
     assert result.method == pipeline.METHOD_DECODED
     assert calls == {}
 
 
-def test_an_identified_frame_rectifies_its_accepted_roi_once(sharp_frame, monkeypatch):
+def test_an_identified_frame_rectifies_nothing_of_its_own(sharp_frame, monkeypatch):
     img, wmap, intr, bank = sharp_frame
     decoded, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
-    calls = _spies(monkeypatch)
+    calls, callers = _spies(monkeypatch)
     monkeypatch.setattr(artwork, "read_sticker", lambda crop, quad: None)
     result, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
     assert result.method == pipeline.METHOD_IDENTIFIED
     assert result.sticker_id == decoded.sticker_id
-    # The pipeline's own rectification; estimate_view rectifies its probe
-    # view once per ROI it identifies, through identify's binding.
-    assert calls["rectify_quad"] == 1
+    # The pipeline poses at the turns identification returns: only
+    # estimate_view rectifies (through identify's binding) and correlates,
+    # once per ROI it identifies.
+    assert calls.get("rectify_quad", 0) == 0
+    assert calls["estimate_view"] >= 1
+    assert calls["identify.rectify_quad"] == calls["estimate_view"]
+    assert calls["best_artwork_rotation"] == calls["estimate_view"]
+    assert callers["best_artwork_rotation"] == {"estimate_view"}
     assert calls.get("decode_roi_detail", 0) == 0
     assert np.linalg.norm(result.position - decoded.position) < 0.01
+
+
+def reference_turns(crop: GreyImage, quad: QuadCorners, sticker) -> int:
+    """The accepted ROI rectified, then correlated with the accepted sticker's artwork."""
+    flat = datamatrix.rectify_quad(crop, quad, datamatrix.RECTIFIED_STICKER_PX)
+    return artwork.best_artwork_rotation(flat, artwork.sticker_cells_from_payloads(list(sticker.payloads)))
+
+
+def test_identified_blurred_frames_pose_at_the_accepted_stickers_turns(monkeypatch):
+    """On blur10 frames the view's turns equal the accepted sticker's own, and pose the frame.
+
+    The reference is how the pipeline posed an identified frame before it took
+    the view's turns: the accepted ROI's quad at reference_turns.
+    """
+    harness = _harness()
+    wl = harness.WORKLOADS["blur10"]
+    intr = harness.camera()
+    wmap = generate_grid_map(wl.grid, wl.grid, harness.PITCH_M)
+    bank = ReferenceBank.build(wmap, intr)
+    real_crop, real_identify = pipeline.outline_crop, pipeline.identify_crop
+    real_pose = pipeline._pose_from_quad
+    roi: list = []
+    accepted: list = []  # (result, reference turns, ROI quad) per accepted identification
+    posed: list = []  # _pose_from_quad's arguments
+
+    def recording_crop(img, quad, margin):
+        roi[:] = [img, QuadCorners(quad)]
+        return real_crop(img, quad, margin)
+
+    def recording_identify(*args):
+        result = real_identify(*args)
+        if result is not None and result.accepted:
+            want = reference_turns(*roi, wmap.get(result.sticker_id))
+            accepted.append((result, want, roi[1].corners))
+        return result
+
+    def recording_pose(*args):
+        posed.append(args)
+        return real_pose(*args)
+
+    monkeypatch.setattr(pipeline, "outline_crop", recording_crop)
+    monkeypatch.setattr(pipeline, "identify_crop", recording_identify)
+    monkeypatch.setattr(pipeline, "_pose_from_quad", recording_pose)
+    state = pipeline.TrackerState()
+    specs = harness.frame_specs(wl, wmap, intr, 2)
+    for k, (pose, cfg) in enumerate(itertools.islice(specs, 3)):
+        img, _ = simulate.render(wmap, intr, pose, cfg)
+        accepted.clear()
+        posed.clear()
+        result, state = pipeline.process_frame(
+            img, wmap, intr, bank, state, frame_id=k, timestamp=k / harness.FPS
+        )
+        assert result.method == pipeline.METHOD_IDENTIFIED
+        ((found, want, roi_quad),) = accepted
+        assert found.turns == want
+        ((_, sticker, frame_corners, _, max_rms),) = posed
+        assert sticker.id == found.sticker_id == result.sticker_id
+        # The accepted ROI's quad, moved by the ROI's whole-pixel offset.
+        shift = frame_corners - roi_quad
+        assert np.allclose(shift, np.round(shift[0]), rtol=0, atol=1e-9)
+        solved = real_pose(intr, sticker, frame_corners, want, max_rms)
+        assert solved is not None
+        assert result.outcome == pipeline.OUTCOME_LOCALISED
+        assert np.array_equal(result.position, solved[1])
