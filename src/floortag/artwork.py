@@ -13,7 +13,10 @@ cyclic shift.
 The layout fixes where every symbol module sits, so `read_sticker` reads a
 sticker seen through its outline by sampling those cells alone. The slot in
 view (numbered like the quadrants) where a symbol reads, together with the
-quadrant its payload names, gives the sticker's quarter turns.
+quadrant its payload names, gives the sticker's quarter turns. A sticker that
+does not read is oriented through its outline in the same way:
+`best_artwork_rotation` samples a fixed grid over the artwork square and
+correlates it with the four turns of a candidate's artwork.
 """
 
 from __future__ import annotations
@@ -130,45 +133,6 @@ def local_to_artwork_uv(sx: np.ndarray, sy: np.ndarray):
     return u, v
 
 
-def _block_means(px: np.ndarray, n: int) -> np.ndarray:
-    """Means of an n x n grid of blocks cut at the int(linspace) edges.
-
-    Where two edges coincide (fewer than n pixels) the block is the single
-    row or column at that edge. The sums are whole numbers, so they are exact.
-    """
-    h, w = px.shape
-    rows = np.linspace(0, h, n + 1).astype(int)
-    cols = np.linspace(0, w, n + 1).astype(int)
-    band_sums = np.add.reduceat(px, rows[:-1], axis=0, dtype=np.int64)
-    sums = np.add.reduceat(band_sums, cols[:-1], axis=1)
-    counts = np.outer(np.maximum(np.diff(rows), 1), np.maximum(np.diff(cols), 1))
-    return sums / counts
-
-
-def best_artwork_rotation(rectified: GreyImage, cells: np.ndarray) -> int:
-    """CCW quarter turns m maximising correlation of the view with rot90(artwork, m).
-
-    Works on a coarse grid so it stays usable under heavy motion blur.
-    """
-    coarse = 15
-    obs = _block_means(rectified.pixels, coarse)
-    obs = obs - obs.mean()
-    denom = np.linalg.norm(obs)
-    if denom < 1e-9:
-        return 0
-    ref_full = np.where(cells, float(INK), float(PAPER))
-    block = CELLS // coarse or 1
-    scores = []
-    for m in range(4):
-        ref = np.rot90(ref_full, m)
-        small = ref[: coarse * block, : coarse * block]
-        small = small.reshape(coarse, block, coarse, block).mean(axis=(1, 3))
-        small = small - small.mean()
-        nref = np.linalg.norm(small)
-        scores.append(float((obs * small).sum() / (denom * nref)) if nref > 1e-9 else -1.0)
-    return int(np.argmax(scores))
-
-
 def quarter_turns(slot: int, quadrant: int) -> int:
     """CCW quarter turns m that put the quadrant's symbol at the slot of rot90(artwork, m).
 
@@ -202,6 +166,41 @@ def _module_centres() -> np.ndarray:
 
 
 _MODULE_CENTRES = _module_centres()
+
+_ORIENTATION_GRID = 15  # coarse cells per side that best_artwork_rotation correlates
+_ORIENTATION_SAMPLES = 8  # samples per coarse cell side
+
+
+def _orientation_centres() -> np.ndarray:
+    """Homogeneous artwork-unit (u, v, 1) centres of a row-major 120 x 120 grid."""
+    n = _ORIENTATION_GRID * _ORIENTATION_SAMPLES
+    us, vs = np.meshgrid((np.arange(n) + 0.5) / n, (np.arange(n) + 0.5) / n)
+    pts = np.column_stack([us.ravel(), vs.ravel(), np.ones(n * n)])
+    pts.setflags(write=False)
+    return pts
+
+
+_ORIENTATION_CENTRES = _orientation_centres()
+
+
+def best_artwork_rotation(crop: GreyImage, quad: np.ndarray, cells: np.ndarray) -> int:
+    """CCW quarter turns m maximising correlation of the quad's view with rot90(artwork, m).
+
+    The crop is sampled through the quad (crop pixels, QuadCorners order) at
+    the centres of a 120 x 120 grid over the artwork square, and each 8 x 8
+    group is averaged into a 15 x 15 coarse grid, so the fit stays usable
+    under heavy motion blur.
+    """
+    coarse, k = _ORIENTATION_GRID, _ORIENTATION_SAMPLES
+    obs = sample_quad(crop.pixels, quad, 1.0, _ORIENTATION_CENTRES)
+    obs = obs.reshape(coarse, k, coarse, k).mean(axis=(1, 3))
+    obs = obs - obs.mean()
+    block = CELLS // coarse
+    ref = np.where(cells, float(INK), float(PAPER))
+    ref = ref.reshape(coarse, block, coarse, block).mean(axis=(1, 3))
+    ref = ref - ref.mean()
+    # Every turn of the artwork has the same norm, so the dot products rank them.
+    return int(np.argmax([(obs * np.rot90(ref, m)).sum() for m in range(4)]))
 
 
 def read_sticker(crop: GreyImage, quad: QuadCorners) -> tuple[Payload, int] | None:

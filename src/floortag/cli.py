@@ -143,7 +143,7 @@ def _cmd_identify(args) -> int:
         print("error: no sticker outline found", file=sys.stderr)
         return 1
     crop, quad = outline_crop(img, corners.corners, cfg.roi_margin)
-    result = identify_crop(crop, quad, wmap, bank, candidates, cfg)
+    result = identify_crop(crop, quad, wmap, bank, candidates)
     if result is None:
         print("error: no features around the sticker outline", file=sys.stderr)
         return 1

@@ -6,10 +6,9 @@ generator roots alpha^1..alpha^5. Only the 10x10 size is supported.
 `decode_bitmap` decodes a sampled 10x10 module grid. The pipeline samples
 those grids at the sticker's known symbol cells (`artwork.read_sticker`), so
 it needs no symbol search. `decode_roi_detail` finds symbols in an image of
-unknown layout, a crop or a rectified sticker: it fits a rectangle to each
-contour, skips the sticker's own outline, and stops at the first symbol that
-decodes. `rectify_quad` warps a quad onto a square raster, which the pipeline
-does only to orient a sticker it identifies (`identify.estimate_view`).
+unknown layout, such as a crop or a sticker warped onto a square raster: it
+fits a rectangle to each contour, skips the sticker's own outline, and stops
+at the first symbol that decodes. The pipeline does not call it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .imaging import GreyImage, QuadCorners, sample_quad, trace_contours
+from .imaging import GreyImage, sample_quad, trace_contours
 
 SYMBOL_SIZE = 10
 DATA_REGION = 8
@@ -524,27 +523,18 @@ def _grid_from_quad(px: np.ndarray, quad: np.ndarray, threshold: float) -> np.nd
     return (vals < threshold).reshape(SYMBOL_SIZE, SYMBOL_SIZE)
 
 
-def rectify_quad(img: GreyImage, corners: QuadCorners, size: int) -> GreyImage:
-    """Warp the quad interior onto a size x size square raster, sampled at pixel centres."""
-    xs, ys = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
-    centres = np.column_stack([xs.ravel(), ys.ravel(), np.ones(size * size)])
-    out = sample_quad(img.pixels, corners.corners, size, centres).reshape(size, size)
-    return GreyImage.from_float(out)
-
-
-RECTIFIED_STICKER_PX = 240
 MIN_SYMBOL_SIDE_PX = 12.0
 
 
 def decode_roi_detail(roi_img: GreyImage) -> list[SymbolRead]:
-    """The first symbol read in the image: a rectified sticker (see rectify_quad) or a crop.
+    """The first symbol read in an image of unknown layout: a crop, or a sticker's square raster.
 
     Contours are tried largest first; the first that passes the size and
     aspect tests and decodes ends the search. Every symbol of a sticker
     carries its id, so one read identifies it. Returns [] or a one-read list.
 
-    A contour that reaches all four image edges is skipped: on a rectified
-    sticker it is the sticker's own outline, never a symbol, since a symbol
+    A contour that reaches all four image edges is skipped: on a sticker's
+    square raster it is the sticker's own outline, never a symbol, since a symbol
     keeps a quiet zone of at least one module (as render_symbol draws it).
     """
     if roi_img.width < 40 or roi_img.height < 40:

@@ -5,7 +5,9 @@ sticker sits, its orientation and its motion-smear estimate) and scored by
 the number of descriptor matches between that rendering and the scene; the
 winner must clear an absolute score floor and a margin over the runner-up.
 Rendering into the view keeps heavy blur from washing out the payload texture
-that separates candidates.
+that separates candidates. The view is fitted once per outline
+(`estimate_view`): its orientation from the outline sampled at fixed artwork
+positions (`artwork.best_artwork_rotation`), its smear length by rendering.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from scipy import ndimage
 
 from . import artwork
 from .features import FeatureSet, detect_and_describe, match
-from .datamatrix import RECTIFIED_STICKER_PX, rectify_quad
 from .geometry import CameraIntrinsics, homography_dlt
-from .imaging import UNIT_SQUARE, GreyImage, QuadCorners, bilinear_sample
+from .imaging import UNIT_SQUARE, GreyImage, bilinear_sample
 from .simulate import FLOOR_LUMINANCE, sticker_texture
 from .warehouse import WarehouseMap
 
@@ -166,12 +167,13 @@ def contract_quad(quad: np.ndarray, direction, amount: float) -> np.ndarray:
 def estimate_view(
     roi: GreyImage, scene_feats: FeatureSet, quad: np.ndarray, probe_payloads
 ) -> ViewContext:
-    """Fit the motion-smear length (and residual alignment) to the scene.
+    """Fit the motion-smear length to the scene, and the artwork's quarter turns.
 
-    One probe candidate is drawn into the quad at each trial length; the
-    length whose rendering matches the scene best wins, because a matched
-    smear helps structural matches for any candidate. The median displacement
-    of the winning matches then corrects the quad position.
+    The turns come from correlating the outline (`artwork.best_artwork_rotation`)
+    with the probe candidate's artwork. The probe is then drawn into the quad,
+    contracted by half the trial length along the smear, at each trial length;
+    the length whose rendering matches the scene best wins, because a matched
+    smear helps structural matches for any candidate.
     """
     shape = (roi.height, roi.width)
     direction = estimate_blur_direction(roi)
@@ -179,36 +181,25 @@ def estimate_view(
         [roi.pixels[0, :], roi.pixels[-1, :], roi.pixels[:, 0], roi.pixels[:, -1]]
     )
     background = float(np.median(edge_px))
-    # 4-fold artwork orientation from coarse correlation; payload content is a
-    # second-order effect there, so the probe candidate decides for everyone,
-    # and the accepted sticker is posed at these turns.
-    rectified = rectify_quad(roi, QuadCorners(quad), RECTIFIED_STICKER_PX)
+    # Payload content is a second-order effect on the coarse correlation, so
+    # the probe candidate decides for everyone, and the accepted sticker is
+    # posed at these turns.
     turns = artwork.best_artwork_rotation(
-        rectified, artwork.sticker_cells_from_payloads(list(probe_payloads))
+        roi, quad, artwork.sticker_cells_from_payloads(list(probe_payloads))
     )
-    best = None
+    best_pairs = -1
+    best_view = ViewContext(quad, shape, 0.0, direction, background, turns)
     for length in VIEW_BLUR_LENGTHS_PX:
-        trial_quad = contract_quad(quad, direction, length / 2.0) if length > 0 else quad
+        trial_quad = contract_quad(quad, direction, length / 2.0)
         view = ViewContext(trial_quad, shape, length, direction, background, turns)
         synth = render_candidate_view(probe_payloads, view)
         ref = detect_and_describe(synth, max_features=400, threshold=REFERENCE_THRESHOLD)
         if len(ref) == 0:
             continue
-        pairs = match(ref, scene_feats, DEFAULT_MAX_DISTANCE).pairs
-        if best is None or len(pairs) > best[0]:
-            best = (len(pairs), view, ref, pairs)
-    if best is None:
-        return ViewContext(quad, shape, 0.0, direction, background, turns)
-    _, view, ref, pairs = best
-    if len(pairs) >= 8:
-        ref_pos = ref.positions
-        scene_pos = scene_feats.positions
-        disp = np.median([scene_pos[j] - ref_pos[i] for i, j, _ in pairs], axis=0)
-        if np.linalg.norm(disp) > 1.5:
-            view = ViewContext(
-                view.quad + disp, shape, view.blur_length_px, direction, background, turns
-            )
-    return view
+        pairs = len(match(ref, scene_feats, DEFAULT_MAX_DISTANCE))
+        if pairs > best_pairs:
+            best_pairs, best_view = pairs, view
+    return best_view
 
 
 def identify_sticker(

@@ -175,7 +175,6 @@ def identify_crop(
     warehouse_map: warehouse.WarehouseMap,
     bank: ReferenceBank,
     candidates: list[int],
-    cfg: PipelineConfig,
 ) -> identify.IdentificationResult | None:
     """Identify the sticker outlined by quad (crop pixels) without decoding it.
 
@@ -186,6 +185,7 @@ def identify_crop(
     """
     if min(crop.width, crop.height) <= 2 * features.MARGIN:
         return None
+    cfg = PipelineConfig()
     feats = features.detect_and_describe(
         crop, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
     )
@@ -232,12 +232,11 @@ def process_frame(
     intr: CameraIntrinsics,
     bank: ReferenceBank,
     state: TrackerState = TrackerState(),
-    config: PipelineConfig | None = None,
     frame_id: int = 0,
     timestamp: float | None = None,
 ) -> tuple[LocalisationResult, TrackerState]:
     """Run the full localisation chain on one frame and update the tracker state."""
-    cfg = config or PipelineConfig()
+    cfg = PipelineConfig()
     now = time.monotonic() if timestamp is None else timestamp
     clock = _StageClock()
 
@@ -311,7 +310,7 @@ def process_frame(
             if ctx.corners is None or not candidates:
                 continue
             crop, quad = outline_crop(ctx.crop, ctx.corners.corners, cfg.roi_margin)
-            result = identify_crop(crop, quad, warehouse_map, bank, candidates, cfg)
+            result = identify_crop(crop, quad, warehouse_map, bank, candidates)
             if result is not None and result.accepted:
                 sticker = warehouse_map.get(result.sticker_id)
                 turns = result.turns

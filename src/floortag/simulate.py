@@ -72,10 +72,11 @@ _TEXTURE_CACHE: dict[tuple[str, str, str, str], np.ndarray] = {}
 
 
 def sticker_texture(payloads: tuple[str, str, str, str]) -> np.ndarray:
+    """The sticker's uint8 raster, STICKER_TEXTURE_PX square, built once per payload set."""
     tex = _TEXTURE_CACHE.get(payloads)
     if tex is None:
         cells = artwork.sticker_cells_from_payloads(list(payloads))
-        tex = artwork.render_cells(cells, STICKER_TEXTURE_PX, supersample=2).to_float()
+        tex = artwork.render_cells(cells, STICKER_TEXTURE_PX, supersample=2).pixels
         _TEXTURE_CACHE[payloads] = tex
     return tex
 

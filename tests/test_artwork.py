@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy import ndimage
 
 from floortag import artwork
 from floortag.datamatrix import bitmap_from_codewords, decode_bitmap
+from floortag.geometry import CameraIntrinsics, downward_camera_pose
+from floortag.imaging import (
+    UNIT_SQUARE,
+    GreyImage,
+    MeanOffset,
+    NotAQuadError,
+    binarize,
+    extract_quad_corners,
+    trace_contours,
+)
+from floortag.simulate import RenderConfig, exposure_for_blur_px, render
+from floortag.warehouse import candidate_stickers, generate_grid_map
+
+from rectified import reference_rotation
+
+INTR = CameraIntrinsics.reference_camera(binning=2)
 
 
 def test_payload_text_format():
@@ -78,50 +93,81 @@ def test_corners_world_yaw():
     assert np.allclose(c[:, 2], 0.0)
 
 
+# A 240 px raster's outline: its corners on the pixel boundaries, in QuadCorners order.
+OUTLINE_240 = 240 * UNIT_SQUARE - 0.5
+
+
 def test_best_artwork_rotation_identifies_turns():
     cells = artwork.sticker_cells(9)
     base = artwork.render_cells(cells, 240)
     for m in range(4):
-        from floortag.imaging import GreyImage
-
         rotated = GreyImage(np.rot90(base.pixels, m).copy())
-        assert artwork.best_artwork_rotation(rotated, cells) == m
+        assert artwork.best_artwork_rotation(rotated, OUTLINE_240, cells) == m
 
 
 def test_best_artwork_rotation_under_blur():
-    from scipy import ndimage
-
-    from floortag.imaging import GreyImage
-
     cells = artwork.sticker_cells(11)
     base = artwork.render_cells(cells, 240).to_float()
     for m in range(4):
-        blurred = ndimage.gaussian_filter(np.rot90(base, m), 8.0)
-        assert artwork.best_artwork_rotation(GreyImage.from_float(blurred), cells) == m
+        blurred = GreyImage.from_float(ndimage.gaussian_filter(np.rot90(base, m), 8.0))
+        assert artwork.best_artwork_rotation(blurred, OUTLINE_240, cells) == m
 
 
-# Reference block means: one slice mean per block, at the same edges.
-def oracle_block_means(px: np.ndarray, n: int) -> np.ndarray:
-    px = px.astype(np.float64)
-    h, w = px.shape
-    ys = np.linspace(0, h, n + 1)
-    xs = np.linspace(0, w, n + 1)
-    obs = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            obs[i, j] = px[int(ys[i]) : max(int(ys[i + 1]), int(ys[i]) + 1),
-                           int(xs[j]) : max(int(xs[j + 1]), int(xs[j]) + 1)].mean()
-    return obs
+def criterion_7_rois(seed: int, count: int):
+    """(map, ROI crop, outline quad, candidates) as criterion 7 generates them at seed.
+
+    A 4x4 map at 1 m pitch, a camera ~1 m over a random sticker, a 10 px
+    smear; the crop is the sticker's box plus 30 px and the quad its traced
+    outline.
+    """
+    wmap = generate_grid_map(4, 4, 1.0)
+    rng = np.random.default_rng(seed)
+    done = attempt = 0
+    while done < count and attempt < count * 3:
+        attempt += 1
+        true_id = int(rng.integers(1, 17))
+        s = wmap.get(true_id)
+        cam = (
+            s.world_x + rng.uniform(-0.05, 0.05),
+            s.world_y + rng.uniform(-0.05, 0.05),
+            rng.uniform(0.9, 1.1),
+        )
+        pose = downward_camera_pose(
+            cam, tilt=rng.uniform(0, 0.1), spin=rng.uniform(0, 2 * np.pi),
+            azimuth=rng.uniform(0, 2 * np.pi),
+        )
+        img, truth = render(wmap, INTR, pose, RenderConfig(
+            seed=seed * 1000 + attempt, exposure_reciprocal=exposure_for_blur_px(INTR, cam[2], 1.0, 10.0),
+            velocity=1.0, heading=rng.uniform(0, 2 * np.pi),
+        ))
+        if true_id not in truth.visible_ids:
+            continue
+        tc = truth.corners_of(true_id)
+        x0, y0 = max(int(tc[:, 0].min()) - 30, 0), max(int(tc[:, 1].min()) - 30, 0)
+        x1 = min(int(tc[:, 0].max()) + 30, INTR.width)
+        y1 = min(int(tc[:, 1].max()) + 30, INTR.height)
+        if x1 - x0 < 60 or y1 - y0 < 60:
+            continue
+        roi = img.crop(x0, y0, x1, y1)
+        contours = [c for c in trace_contours(binarize(roi, MeanOffset(31, 10))) if c.area() > 1500]
+        if not contours:
+            continue
+        try:
+            quad = extract_quad_corners(contours[0], roi).corners
+        except NotAQuadError:
+            continue
+        done += 1
+        yield wmap, roi, quad, candidate_stickers(wmap, (cam[0], cam[1]), 3.0)
 
 
-_SIDES = st.one_of(st.integers(1, 14), st.integers(15, 260), st.sampled_from([15, 30, 240, 241]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(h=_SIDES, w=_SIDES, seed=st.integers(0, 2**32 - 1))
-def test_block_means_match_slice_means(h, w, seed):
-    px = np.random.default_rng(seed).integers(0, 256, size=(h, w), dtype=np.uint8)
-    got = artwork._block_means(px, 15)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, oracle_block_means(px, 15))
-
+def test_best_artwork_rotation_equals_the_rectified_block_means_on_blurred_rois():
+    # The reference warps the outline to 240 px and correlates 16 x 16 block
+    # means; every candidate of each ROI serves as the artwork in turn. A
+    # 30 x 30 sample grid in place of 120 x 120 disagrees on the last ROI.
+    pairs = 0
+    for wmap, roi, quad, candidates in criterion_7_rois(78, 3):
+        for sid in candidates:
+            cells = artwork.sticker_cells_from_payloads(list(wmap.get(sid).payloads))
+            assert artwork.best_artwork_rotation(roi, quad, cells) == reference_rotation(roi, quad, cells)
+            pairs += 1
+    assert pairs >= 40

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from floortag import artwork, datamatrix, pipeline
 from floortag.bench import sample_camera_pose
 from floortag.datamatrix import (
-    RECTIFIED_STICKER_PX,
     Codewords,
     EncodingError,
     SymbolBitmap,
@@ -21,7 +20,6 @@ from floortag.datamatrix import (
     finder_mismatches,
     min_area_rect,
     otsu_threshold,
-    rectify_quad,
     render_symbol,
     rs_decode,
     rs_encode,
@@ -37,6 +35,8 @@ from floortag.warehouse import (
     generate_grid_map,
     lookup_by_payload,
 )
+
+from rectified import RECTIFIED_STICKER_PX, rectified_rotation, rectify_quad
 
 
 # Independent GF(256) arithmetic (russian peasant, polynomial 0x12D) used as
@@ -481,7 +481,7 @@ def recording_reads(flats: list[GreyImage], reads: list | None = None):
     as the decode stage did before, from the same ROI crop and corners.
     """
     def read(crop, quad):
-        flats.append(datamatrix.rectify_quad(crop, quad, RECTIFIED_STICKER_PX))
+        flats.append(rectify_quad(crop, quad, RECTIFIED_STICKER_PX))
         result = READ_STICKER(crop, quad)
         if reads is not None:
             reads.append(result)
@@ -496,7 +496,7 @@ def reference_reader(wmap: WarehouseMap):
     its first read, with the slot where the correlated quarter turns put it.
     """
     def read(crop, quad):
-        flat = datamatrix.rectify_quad(crop, quad, RECTIFIED_STICKER_PX)
+        flat = rectify_quad(crop, quad, RECTIFIED_STICKER_PX)
         reads = reference_decode_roi_detail(flat)
         for r in reads:
             try:
@@ -504,7 +504,7 @@ def reference_reader(wmap: WarehouseMap):
             except UnknownPayloadError:
                 continue
             cells = artwork.sticker_cells_from_payloads(list(sticker.payloads))
-            turns = artwork.best_artwork_rotation(flat, cells)
+            turns = rectified_rotation(flat, cells)
             quadrant = sticker.payloads.index(r.payload.text)
             return r.payload, next(s for s in range(4) if artwork.quarter_turns(s, quadrant) == turns)
         # The pipeline skips an unregistered read wherever it sits.

@@ -124,7 +124,7 @@ def test_render_candidate_view_matches_orientation():
     img = render_candidate_view(StickerSpec(6, 0, 0).payloads, view)
     from floortag.artwork import best_artwork_rotation
 
-    assert best_artwork_rotation(img.crop(20, 20, 181, 181), cells) == 0
+    assert best_artwork_rotation(img, quad, cells) == 0
     view1 = ViewContext(quad, (200, 200), 0.0, (1.0, 0.0), 120.0, turns=1)
     img1 = render_candidate_view(StickerSpec(6, 0, 0).payloads, view1)
-    assert best_artwork_rotation(img1.crop(20, 20, 181, 181), cells) == 1
+    assert best_artwork_rotation(img1, quad, cells) == 1

@@ -28,6 +28,8 @@ from floortag.imaging import (
 from floortag.simulate import RenderConfig, exposure_for_blur_px, render
 from floortag.warehouse import generate_grid_map
 
+from rectified import RECTIFIED_STICKER_PX, rectify_quad
+
 
 def test_grey_image_validates_shape():
     with pytest.raises(ValueError):
@@ -330,7 +332,7 @@ def pipeline_binaries(sticker_frames):
             return trace_contours(binary)
 
         def reading(crop, quad):
-            flat = datamatrix.rectify_quad(crop, quad, datamatrix.RECTIFIED_STICKER_PX)
+            flat = rectify_quad(crop, quad, RECTIFIED_STICKER_PX)
             datamatrix.decode_roi_detail(flat)
             return read_sticker(crop, quad)
 
@@ -348,7 +350,7 @@ def test_trace_contours_matches_oracle_on_pipeline_binaries(pipeline_binaries, k
     binaries = pipeline_binaries[kind]
     # The ROI outlines and, where a quad was found, the rectified sticker.
     assert len(binaries) >= 2
-    assert any(b.width == b.height == datamatrix.RECTIFIED_STICKER_PX for b in binaries)
+    assert any(b.width == b.height == RECTIFIED_STICKER_PX for b in binaries)
     for binary in binaries:
         assert_traces_like_oracle(binary.pixels == 0)
 
@@ -637,7 +639,7 @@ def oracle_grid_samples(px: np.ndarray, quad: np.ndarray) -> np.ndarray:
 
 
 def oracle_rectify_samples(px: np.ndarray, quad: np.ndarray, size: int) -> np.ndarray:
-    """datamatrix.rectify_quad's samples at the pixel centres of a size x size raster."""
+    """The samples at the pixel centres of a size x size raster (rectified.rectify_quad)."""
     dst = np.array([[0.0, 0.0], [size, 0.0], [size, size], [0.0, size]])
     h = homography_dlt(dst, quad)
     xs, ys = np.meshgrid(np.arange(size) + 0.5, np.arange(size) + 0.5)
@@ -677,11 +679,11 @@ def test_sample_quad_equals_the_copies_it_replaced():
         threshold = float(rng.uniform(60, 200))
         grid = datamatrix._grid_from_quad(px.astype(np.float64), quad, threshold)
         assert np.array_equal(grid, (want < threshold).reshape(10, 10))
-        size = datamatrix.RECTIFIED_STICKER_PX if k % 50 == 0 else 40
+        size = RECTIFIED_STICKER_PX if k % 50 == 0 else 40
         want = oracle_rectify_samples(px, quad, size)
         got = imaging.sample_quad(px, quad, size, cell_centres(size, 1))
         assert np.array_equal(got, want)
-        flat = datamatrix.rectify_quad(GreyImage(px), QuadCorners(quad), size)
+        flat = rectify_quad(GreyImage(px), QuadCorners(quad), size)
         assert np.array_equal(flat.pixels, GreyImage.from_float(want.reshape(size, size)).pixels)
     assert 60 <= outside <= 240
 

@@ -10,7 +10,6 @@ from floortag.pipeline import (
     OUTCOME_ERROR,
     OUTCOME_LOCALISED,
     OUTCOME_NO_STICKER,
-    PipelineConfig,
     TrackerState,
     process_frame,
     process_sequence,
@@ -77,7 +76,7 @@ def test_blurred_render_localises_by_identification(wmap, bank):
         assert result.sticker_id == 5
 
 
-def test_unread_carries_no_position(wmap, bank):
+def test_unread_carries_no_position(wmap, bank, monkeypatch):
     # Identification disabled: the blurred sticker is detected but never read.
     target = wmap.get(5)
     pose = downward_camera_pose((target.world_x, target.world_y, 1.0), spin=0.3)
@@ -86,10 +85,8 @@ def test_unread_carries_no_position(wmap, bank):
         wmap, INTR, pose,
         RenderConfig(seed=33, exposure_reciprocal=n10, velocity=1.0, heading=0.2),
     )
-    cfg = PipelineConfig(accept_min=10**6)
-    result, state = process_frame(
-        img, wmap, INTR, bank, TrackerState(), config=cfg, timestamp=0.0
-    )
+    monkeypatch.setattr(pipeline, "identify_crop", lambda *args: None)
+    result, state = process_frame(img, wmap, INTR, bank, TrackerState(), timestamp=0.0)
     assert result.outcome == OUTCOME_DETECTED_UNREAD
     assert result.position is None and result.pose is None
     assert state.position is None
@@ -184,7 +181,7 @@ def test_identify_crop_on_a_crop_narrower_than_the_feature_margin_is_none(wmap, 
     # The outline's crop of a sticker cut by the frame edge can be this narrow.
     crop = GreyImage(np.full((120, 17), 90, dtype=np.uint8))
     quad = np.array([[2.0, 10.0], [15.0, 10.0], [15.0, 100.0], [2.0, 100.0]])
-    assert pipeline.identify_crop(crop, quad, wmap, bank, wmap.ids, PipelineConfig()) is None
+    assert pipeline.identify_crop(crop, quad, wmap, bank, wmap.ids) is None
 
 
 def _edge_frame(wmap, cam, spin):

@@ -2,7 +2,8 @@
 
 The reference is the path the pipeline took before: rectify the quad onto a
 240 px raster, find a symbol among its contours (decode_roi_detail) and
-correlate the four artwork rotations (best_artwork_rotation).
+correlate the four artwork rotations with the raster's block means
+(rectified.rectified_rotation).
 """
 
 import itertools
@@ -12,11 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floortag import artwork, datamatrix, identify, pipeline, simulate, warehouse
+from floortag import artwork, datamatrix, pipeline, simulate, warehouse
 from floortag.geometry import homography_dlt
-from floortag.identify import ReferenceBank
+from floortag.identify import ReferenceBank, contract_quad
 from floortag.imaging import GreyImage, QuadCorners, bilinear_sample
 from floortag.warehouse import generate_grid_map
+
+from rectified import (
+    RECTIFIED_STICKER_PX,
+    rectified_rotation,
+    rectify_quad,
+    reference_rotation,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,7 +34,7 @@ def reference_read(crop: GreyImage, quad: QuadCorners, wmap) -> tuple | None:
 
     Sticker id and turns are None for a payload the map does not hold.
     """
-    flat = datamatrix.rectify_quad(crop, quad, datamatrix.RECTIFIED_STICKER_PX)
+    flat = rectify_quad(crop, quad, RECTIFIED_STICKER_PX)
     reads = datamatrix.decode_roi_detail(flat)
     if not reads:
         return None
@@ -36,7 +44,7 @@ def reference_read(crop: GreyImage, quad: QuadCorners, wmap) -> tuple | None:
     except warehouse.UnknownPayloadError:
         return payload.text, None, None
     cells = artwork.sticker_cells_from_payloads(list(sticker.payloads))
-    return payload.text, sticker.id, artwork.best_artwork_rotation(flat, cells)
+    return payload.text, sticker.id, rectified_rotation(flat, cells)
 
 
 def new_read(crop: GreyImage, quad: QuadCorners, wmap) -> tuple | None:
@@ -78,8 +86,7 @@ def test_read_sticker_gives_payload_and_turns_of_a_turned_sticker(m):
     assert artwork.quarter_turns(slot, quadrant) == m
     # The slot in view is the first, and it holds the quadrant m turns bring there.
     assert slot == 0
-    flat = datamatrix.rectify_quad(crop, QuadCorners(QUAD), datamatrix.RECTIFIED_STICKER_PX)
-    assert artwork.best_artwork_rotation(flat, artwork.sticker_cells(37)) == m
+    assert artwork.best_artwork_rotation(crop, QUAD, artwork.sticker_cells(37)) == m
 
 
 def test_quarter_turns_follow_rot90():
@@ -177,7 +184,7 @@ def test_read_sticker_agrees_with_the_rectified_path_on_seeded_frames(name, seed
 
 
 def _spies(monkeypatch):
-    """Call counts of the rectification and search steps, and the functions that called them."""
+    """Call counts of the sampling and search steps, the functions that called them, and the spy."""
     calls: dict[str, int] = {}
     callers: dict[str, set[str]] = {}
 
@@ -191,12 +198,11 @@ def _spies(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    spy(datamatrix, "rectify_quad", "rectify_quad")
-    spy(identify, "rectify_quad", "identify.rectify_quad")
+    spy(datamatrix, "sample_quad", "datamatrix.sample_quad")
     spy(datamatrix, "decode_roi_detail", "decode_roi_detail")
     spy(artwork, "best_artwork_rotation", "best_artwork_rotation")
     spy(pipeline, "estimate_view", "estimate_view")
-    return calls, callers
+    return calls, callers, spy
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +217,7 @@ def sharp_frame():
 
 def test_a_decoded_frame_rectifies_and_searches_nothing(sharp_frame, monkeypatch):
     img, wmap, intr, bank = sharp_frame
-    calls, _ = _spies(monkeypatch)
+    calls, _, _ = _spies(monkeypatch)
     result, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
     assert result.outcome == pipeline.OUTCOME_LOCALISED
     assert result.method == pipeline.METHOD_DECODED
@@ -221,34 +227,34 @@ def test_a_decoded_frame_rectifies_and_searches_nothing(sharp_frame, monkeypatch
 def test_an_identified_frame_rectifies_nothing_of_its_own(sharp_frame, monkeypatch):
     img, wmap, intr, bank = sharp_frame
     decoded, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
-    calls, callers = _spies(monkeypatch)
+    calls, callers, spy = _spies(monkeypatch)
+    spy(artwork, "sample_quad", "artwork.sample_quad")
     monkeypatch.setattr(artwork, "read_sticker", lambda crop, quad: None)
     result, _ = pipeline.process_frame(img, wmap, intr, bank, timestamp=0.0)
     assert result.method == pipeline.METHOD_IDENTIFIED
     assert result.sticker_id == decoded.sticker_id
     # The pipeline poses at the turns identification returns: only
-    # estimate_view rectifies (through identify's binding) and correlates,
-    # once per ROI it identifies.
-    assert calls.get("rectify_quad", 0) == 0
+    # estimate_view correlates, once per ROI it identifies, and it samples
+    # the outline through artwork alone.
+    assert calls.get("datamatrix.sample_quad", 0) == 0
     assert calls["estimate_view"] >= 1
-    assert calls["identify.rectify_quad"] == calls["estimate_view"]
+    assert calls["artwork.sample_quad"] == calls["estimate_view"]
+    assert callers["artwork.sample_quad"] == {"best_artwork_rotation"}
     assert calls["best_artwork_rotation"] == calls["estimate_view"]
     assert callers["best_artwork_rotation"] == {"estimate_view"}
     assert calls.get("decode_roi_detail", 0) == 0
     assert np.linalg.norm(result.position - decoded.position) < 0.01
 
 
-def reference_turns(crop: GreyImage, quad: QuadCorners, sticker) -> int:
-    """The accepted ROI rectified, then correlated with the accepted sticker's artwork."""
-    flat = datamatrix.rectify_quad(crop, quad, datamatrix.RECTIFIED_STICKER_PX)
-    return artwork.best_artwork_rotation(flat, artwork.sticker_cells_from_payloads(list(sticker.payloads)))
+@pytest.fixture(scope="module")
+def identified_blurred_frames():
+    """blur10 harness seed 2, 3 frames, all identified, one tracker: what each frame recorded.
 
-
-def test_identified_blurred_frames_pose_at_the_accepted_stickers_turns(monkeypatch):
-    """On blur10 frames the view's turns equal the accepted sticker's own, and pose the frame.
-
-    The reference is how the pipeline posed an identified frame before it took
-    the view's turns: the accepted ROI's quad at reference_turns.
+    Per frame: the result; each estimate_view call as (crop, quad, probe
+    payloads, view); each accepted identification as (result, reference
+    turns, ROI quad), where the reference correlates the accepted ROI with
+    the accepted sticker's artwork on a 240 px raster; and the arguments of
+    each _pose_from_quad call.
     """
     harness = _harness()
     wl = harness.WORKLOADS["blur10"]
@@ -256,47 +262,80 @@ def test_identified_blurred_frames_pose_at_the_accepted_stickers_turns(monkeypat
     wmap = generate_grid_map(wl.grid, wl.grid, harness.PITCH_M)
     bank = ReferenceBank.build(wmap, intr)
     real_crop, real_identify = pipeline.outline_crop, pipeline.identify_crop
-    real_pose = pipeline._pose_from_quad
+    real_view, real_pose = pipeline.estimate_view, pipeline._pose_from_quad
     roi: list = []
-    accepted: list = []  # (result, reference turns, ROI quad) per accepted identification
-    posed: list = []  # _pose_from_quad's arguments
+    frames: list[dict] = []
 
     def recording_crop(img, quad, margin):
-        roi[:] = [img, QuadCorners(quad)]
+        roi[:] = [img, quad]
         return real_crop(img, quad, margin)
+
+    def recording_view(crop, feats, quad, probe_payloads):
+        view = real_view(crop, feats, quad, probe_payloads)
+        frames[-1]["views"].append((crop, quad, probe_payloads, view))
+        return view
 
     def recording_identify(*args):
         result = real_identify(*args)
         if result is not None and result.accepted:
-            want = reference_turns(*roi, wmap.get(result.sticker_id))
-            accepted.append((result, want, roi[1].corners))
+            cells = artwork.sticker_cells_from_payloads(list(wmap.get(result.sticker_id).payloads))
+            frames[-1]["accepted"].append((result, reference_rotation(*roi, cells), roi[1]))
         return result
 
     def recording_pose(*args):
-        posed.append(args)
+        frames[-1]["posed"].append(args)
         return real_pose(*args)
 
-    monkeypatch.setattr(pipeline, "outline_crop", recording_crop)
-    monkeypatch.setattr(pipeline, "identify_crop", recording_identify)
-    monkeypatch.setattr(pipeline, "_pose_from_quad", recording_pose)
-    state = pipeline.TrackerState()
-    specs = harness.frame_specs(wl, wmap, intr, 2)
-    for k, (pose, cfg) in enumerate(itertools.islice(specs, 3)):
-        img, _ = simulate.render(wmap, intr, pose, cfg)
-        accepted.clear()
-        posed.clear()
-        result, state = pipeline.process_frame(
-            img, wmap, intr, bank, state, frame_id=k, timestamp=k / harness.FPS
-        )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "outline_crop", recording_crop)
+        mp.setattr(pipeline, "estimate_view", recording_view)
+        mp.setattr(pipeline, "identify_crop", recording_identify)
+        mp.setattr(pipeline, "_pose_from_quad", recording_pose)
+        state = pipeline.TrackerState()
+        specs = harness.frame_specs(wl, wmap, intr, 2)
+        for k, (pose, cfg) in enumerate(itertools.islice(specs, 3)):
+            img, _ = simulate.render(wmap, intr, pose, cfg)
+            frames.append({"views": [], "accepted": [], "posed": []})
+            frames[-1]["result"], state = pipeline.process_frame(
+                img, wmap, intr, bank, state, frame_id=k, timestamp=k / harness.FPS
+            )
+    return intr, frames
+
+
+def test_identified_blurred_frames_pose_at_the_accepted_stickers_turns(identified_blurred_frames):
+    """On blur10 frames the view's turns equal the accepted sticker's own, and pose the frame.
+
+    The reference is how the pipeline posed an identified frame before it took
+    the view's turns: the accepted ROI's quad at the turns of the accepted
+    sticker's artwork correlated with the ROI.
+    """
+    intr, frames = identified_blurred_frames
+    for frame in frames:
+        result = frame["result"]
         assert result.method == pipeline.METHOD_IDENTIFIED
-        ((found, want, roi_quad),) = accepted
+        ((found, want, roi_quad),) = frame["accepted"]
         assert found.turns == want
-        ((_, sticker, frame_corners, _, max_rms),) = posed
+        ((_, sticker, frame_corners, _, max_rms),) = frame["posed"]
         assert sticker.id == found.sticker_id == result.sticker_id
         # The accepted ROI's quad, moved by the ROI's whole-pixel offset.
         shift = frame_corners - roi_quad
         assert np.allclose(shift, np.round(shift[0]), rtol=0, atol=1e-9)
-        solved = real_pose(intr, sticker, frame_corners, want, max_rms)
+        solved = pipeline._pose_from_quad(intr, sticker, frame_corners, want, max_rms)
         assert solved is not None
         assert result.outcome == pipeline.OUTCOME_LOCALISED
         assert np.array_equal(result.position, solved[1])
+
+
+def test_estimate_view_returns_the_contracted_outline_at_its_chosen_length(identified_blurred_frames):
+    # No shift moves the view after the smear fit: its quad is the outline
+    # pulled in by half the chosen length along the smear, and its turns are
+    # the probe's artwork correlated with the outline on a 240 px raster.
+    _, frames = identified_blurred_frames
+    views = [v for frame in frames for v in frame["views"]]
+    assert len(views) >= len(frames)
+    assert any(view.blur_length_px > 0 for *_, view in views)
+    for crop, quad, probe_payloads, view in views:
+        want = contract_quad(quad, view.blur_direction, view.blur_length_px / 2.0)
+        assert np.array_equal(view.quad, want)
+        cells = artwork.sticker_cells_from_payloads(list(probe_payloads))
+        assert view.turns == reference_rotation(crop, quad, cells)

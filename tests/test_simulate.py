@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from floortag import artwork, identify, simulate
 from floortag.geometry import CameraIntrinsics, downward_camera_pose, project_many
 from floortag.simulate import (
     GroundTruth,
@@ -14,6 +15,8 @@ from floortag.simulate import (
     save_truth,
     single_sticker_map,
 )
+from floortag.identify import ViewContext, render_candidate_view
+from floortag.imaging import bilinear_sample
 from floortag.warehouse import StickerSpec, WarehouseMap, generate_grid_map
 
 INTR = CameraIntrinsics.reference_camera(binning=4)  # 648x486, quick for tests
@@ -157,3 +160,33 @@ def test_truth_sidecar_rejects_a_malformed_file(tmp_path, lines, message):
 def test_ground_truth_lookup_missing():
     with pytest.raises(KeyError):
         GroundTruth([]).corners_of(5)
+
+
+def _float_texture(payloads):
+    """The float64 sticker texture the renderer once cached: the reference."""
+    cells = artwork.sticker_cells_from_payloads(list(payloads))
+    return artwork.render_cells(cells, simulate.STICKER_TEXTURE_PX, supersample=2).to_float()
+
+
+def test_renders_from_the_uint8_texture_equal_the_float64_reference(monkeypatch):
+    wmap = generate_grid_map(2, 2, 0.3)
+    tex = simulate.sticker_texture(wmap.get(1).payloads)
+    assert tex.dtype == np.uint8 and tex.nbytes == simulate.STICKER_TEXTURE_PX**2
+    xs, ys = np.random.default_rng(6).uniform(0, simulate.STICKER_TEXTURE_PX - 1, size=(2, 5000))
+    assert np.array_equal(bilinear_sample(tex, xs, ys), bilinear_sample(tex.astype(np.float64), xs, ys))
+    pose = downward_camera_pose((0.1, 0.2, 0.8), spin=0.7)
+    sharp = RenderConfig(seed=4)
+    smeared = RenderConfig(
+        seed=5, exposure_reciprocal=exposure_for_blur_px(INTR, 0.8, 1.0, 6.0), velocity=1.0, heading=0.3
+    )
+    quad = np.array([[30.0, 22.0], [150.0, 40.0], [140.0, 160.0], [25.0, 140.0]])
+    view = ViewContext(quad, (180, 170), 8.0, (0.6, 0.8), 110.0, turns=3)
+    got = [render(wmap, INTR, pose, cfg)[0].pixels for cfg in (sharp, smeared)]
+    got.append(render_candidate_view(wmap.get(2).payloads, view).pixels)
+    monkeypatch.setattr(simulate, "sticker_texture", _float_texture)
+    monkeypatch.setattr(identify, "sticker_texture", _float_texture)
+    want = [render(wmap, INTR, pose, cfg)[0].pixels for cfg in (sharp, smeared)]
+    want.append(render_candidate_view(wmap.get(2).payloads, view).pixels)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert (got[0] < 100).any()  # a sticker is in view
