@@ -3,7 +3,9 @@
 Detection follows ORB: FAST-9 corners with 3x3 non-maximal suppression,
 Harris re-ranking, an intensity-centroid orientation over a radius-15 disc,
 and descriptor bits that compare smoothed intensities over a fixed random
-test pattern rotated to the keypoint angle.
+test pattern rotated to the keypoint angle. Harris re-ranks every corner only
+when there are more than max_features; below the cap it only orders corners
+whose FAST scores are equal, so it is computed at those corners alone.
 
 Detection costs what is textured, not what is in the frame:
 
@@ -367,7 +369,10 @@ def detect_and_describe(
     """Detect oriented corners and describe them.
 
     Keeps the max_features FAST corners with the highest Harris response and
-    returns them strongest FAST score first.
+    returns them strongest FAST score first, equal scores by Harris response,
+    then in row-major order. When no more than max_features corners are found,
+    Harris only orders equal scores, so it is computed only at the corners
+    whose score another corner shares.
     """
     if max_features < 1:
         raise ValueError(f"max_features must be at least 1, got {max_features}")
@@ -387,7 +392,13 @@ def detect_and_describe(
     if len(pts) == 0:
         return FeatureSet([], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
     xs, ys = pts[:, 0], pts[:, 1]
-    harris = _harris_at(img.pixels, xs, ys)
+    # Harris decides a corner's place only when the cap cuts or its FAST score
+    # is shared: a unique score alone fixes its place in the final stable sort.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    need = (counts[inverse] > 1) | (len(pts) > max_features)
+    harris = np.zeros(len(pts))
+    if need.any():
+        harris[need] = _harris_at(img.pixels, xs[need], ys[need])
     order = np.argsort(-harris, kind="stable")[:max_features]
     xs, ys, scores = xs[order], ys[order], scores[order]
     angles = _orientations(img.pixels, xs, ys)

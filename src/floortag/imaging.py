@@ -436,6 +436,8 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
     luminance-gradient centroid along the edge normal before the line fit,
     which removes the half-pixel bias of binarised boundary centres. Each edge
     is refined in one batch: one bilinear sample over all its points' profiles.
+    A corner more than the image's width (x) or height (y) outside it then
+    raises NotAQuadError.
     """
     pts = c.points.astype(np.float64)
     idx = _initial_corner_indices(pts)
@@ -484,6 +486,12 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
         c_k, d_k = lines[k]
         out.append(_intersect(c_prev, d_prev, c_k, d_k))
     out = np.asarray(out)
+    if image is not None:
+        # Nearly parallel edge lines of an outline cut by the crop edge meet
+        # far away; a sticker's corner lies within a crop size of the crop.
+        size = np.array([image.width, image.height])
+        if np.any((out < -size) | (out > 2 * size)):
+            raise NotAQuadError("corner far outside the crop")
 
     # Counter-clockwise (positive shoelace) starting at the top-left-most corner.
     cross = float(np.dot(out[:, 0], np.roll(out[:, 1], -1)) - np.dot(np.roll(out[:, 0], -1), out[:, 1]))

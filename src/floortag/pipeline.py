@@ -160,7 +160,7 @@ def outline_crop(img: GreyImage, quad: np.ndarray, margin: float) -> tuple[GreyI
     so it gets this box: a cluster ROI that took in stray matches can be
     several times the sticker's size. The pipeline passes the ROI as img, so
     the crop is never larger than the ROI, even when a sticker cut by the
-    frame edge gives a quad whose corners lie far outside it.
+    frame edge gives a quad whose corners lie outside it.
     """
     roi = clustering.roi_from_cluster(
         clustering.Cluster(quad.mean(axis=0), np.arange(4)), quad, img.width, img.height, margin

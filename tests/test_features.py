@@ -226,7 +226,8 @@ def test_corners_at_the_frame_edge_match_oracle():
 
 
 # Grey levels around 100 at the threshold boundaries, mixed with any level.
-_LEVELS = st.sampled_from([100 + d for d in (0, 7, 8, 9, 20, 21, -7, -8, -9, -20, -21)])
+_LEVEL_VALUES = np.array([100 + d for d in (0, 7, 8, 9, 20, 21, -7, -8, -9, -20, -21)])
+_LEVELS = st.sampled_from(_LEVEL_VALUES.tolist())
 
 
 @settings(max_examples=300, deadline=None)
@@ -298,6 +299,63 @@ def blocky_images(draw):
 def test_random_images_match_oracle(img, threshold, max_features):
     assert_matches_oracle(img, max_features, threshold)
     assert_row_kernels_match_oracle(img, threshold)
+
+
+@st.composite
+def level_images(draw):
+    """A 40 to 72 px image of _LEVELS grey levels: a ground with sparse or dense dots."""
+    h = draw(st.integers(40, 72))
+    w = draw(st.integers(40, 72))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    px = np.full((h, w), draw(_LEVELS), dtype=np.uint8)
+    dots = rng.random((h, w)) < draw(st.sampled_from([0.02, 0.2, 1.0]))
+    px[dots] = rng.choice(_LEVEL_VALUES, dots.sum())
+    return GreyImage(px)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    img=level_images(),
+    threshold=st.sampled_from([0.0, 7.5, 8.0, 20.0]),
+    below=st.integers(1, 20),
+)
+def test_tied_scores_match_oracle_around_the_cap(img, threshold, below):
+    # Few grey levels make many corners score the same, so Harris decides
+    # their order; the cap below, at and above the corner count decides
+    # whether it ranks every corner or only the tied ones.
+    corners = len(oracle_candidates(img, threshold)[0])
+    for max_features in {max(1, corners - below), max(1, corners), corners + below}:
+        assert_matches_oracle(img, max_features, threshold)
+
+
+def _corners_given_to_harris(img: GreyImage, max_features: int) -> set:
+    seen = []
+    real = features._harris_at
+
+    def spy(px, xs, ys):
+        seen.extend(zip(xs.tolist(), ys.tolist()))
+        return real(px, xs, ys)
+
+    with mock.patch.object(features, "_harris_at", spy):
+        detect_and_describe(img, max_features=max_features, threshold=20.0)
+    assert len(seen) == len(set(seen))
+    return set(seen)
+
+
+def test_harris_runs_only_where_it_decides_the_order(scene_renders):
+    img = scene_renders["sharp"]
+    pts, scores, _ = oracle_candidates(img, 20.0)
+    values, counts = np.unique(scores, return_counts=True)
+    tied = np.isin(scores, values[counts > 1])
+    every = {tuple(p) for p in pts.tolist()}
+    assert 0 < tied.sum() < len(pts) < 2500
+    # Below the cap a unique FAST score fixes a corner's place by itself.
+    got = _corners_given_to_harris(img, 2500)
+    assert got == {tuple(p) for p in pts[tied].tolist()}
+    # When the cap cuts, Harris ranks every corner.
+    assert _corners_given_to_harris(img, len(pts) - 1) == every
+    for max_features in (len(pts) - 1, len(pts), len(pts) + 1):
+        assert_matches_oracle(img, max_features, 20.0)
 
 
 def test_detection_makes_no_float_copy_of_the_frame(scene_renders, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from floortag.geometry import CameraIntrinsics, downward_camera_pose
 from floortag import pipeline
 from floortag.identify import ReferenceBank
-from floortag.imaging import GreyImage
+from floortag.imaging import GreyImage, NotAQuadError
 from floortag.pipeline import (
     OUTCOME_DETECTED_UNREAD,
     OUTCOME_ERROR,
@@ -192,8 +192,8 @@ def _edge_frame(wmap, cam, spin):
 @pytest.mark.parametrize("cam, spin", [((1.52, 1.0, 1.0), 0.0), ((1.0, 1.58, 1.0), 0.6)])
 def test_identification_crops_stay_inside_the_roi_at_the_frame_edge(wmap, bank, monkeypatch, cam, spin):
     # No sticker reads in these frames: at (1.52, 1, 1) the only outline's
-    # crop is 17-18 px wide, and at (1, 1.58, 1) the traced quad's corners
-    # lie ~1e5 px outside the frame, so its widened box is the whole frame.
+    # crop is 17-18 px wide, and at (1, 1.58, 1) the sticker is cut by the
+    # frame edge (its first traced quad, ~1e5 px outside, is dropped).
     rois, crops = [], []
     real_extract, real_identify = pipeline.extract_corners, pipeline.identify_crop
 
@@ -212,3 +212,29 @@ def test_identification_crops_stay_inside_the_roi_at_the_frame_edge(wmap, bank, 
     assert crops
     for crop in crops:
         assert any(crop.width <= r.width and crop.height <= r.height for r in rois)
+
+
+def test_quads_far_outside_their_crop_are_dropped_at_the_frame_edge(wmap, bank, monkeypatch):
+    # At (1, 1.58, 1) the partial outline's fitted edges are nearly parallel
+    # and met at ~1e5 px from a 297x157 crop; that quad is dropped, the next
+    # outline is tried, and the frame still reads nothing.
+    kept, dropped = [], []
+    real = pipeline.extract_quad_corners
+
+    def extract(contour, crop):
+        try:
+            quad = real(contour, crop)
+        except NotAQuadError as err:
+            dropped.append(str(err))
+            raise
+        kept.append((quad.corners, crop.width, crop.height))
+        return quad
+
+    monkeypatch.setattr(pipeline, "extract_quad_corners", extract)
+    result, _ = process_frame(_edge_frame(wmap, (1.0, 1.58, 1.0), 0.6), wmap, INTR, bank,
+                              timestamp=0.0)
+    assert result.outcome == OUTCOME_DETECTED_UNREAD
+    assert "corner far outside the crop" in dropped
+    assert kept
+    for corners, w, h in kept:
+        assert np.all((corners >= (-w, -h)) & (corners <= (2 * w, 2 * h)))
