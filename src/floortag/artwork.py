@@ -95,16 +95,26 @@ def detection_reference_payloads(seed: int = 0) -> tuple[str, str, str, str]:
 
 
 def render_cells(cells: np.ndarray, size_px: int, supersample: int = 3) -> GreyImage:
-    """Rasterise a cell grid onto size_px x size_px, box-averaged for soft edges."""
+    """Rasterise a cell grid onto size_px x size_px, box-averaged for soft edges.
+
+    Each pixel is the mean of supersample x supersample sub-pixels, each
+    taking the ink or paper level of the cell under its centre. The sub-pixel
+    levels are integers, so that mean is exactly (ink sum + paper sum) / s^2,
+    and only each pixel's count of ink sub-pixels is needed. With R[r, i] the
+    number of pixel row r's sub-rows that fall in cell row i, that count is
+    R @ cells @ R.T; it is summed from gathered cell rows, then columns,
+    without drawing the sub-pixels.
+    """
     if size_px < CELLS:
         raise ValueError(f"raster must be at least {CELLS} px")
     n = size_px * supersample
     coords = (np.arange(n) + 0.5) / n * CELLS
-    idx = np.minimum(coords.astype(int), CELLS - 1)
-    big = np.where(cells[np.ix_(idx, idx)], float(INK), float(PAPER))
-    if supersample > 1:
-        big = big.reshape(size_px, supersample, size_px, supersample).mean(axis=(1, 3))
-    return GreyImage.from_float(big)
+    # Row r of sub: the cell index under each of pixel r's sub-rows (or sub-columns).
+    sub = np.minimum(coords.astype(int), CELLS - 1).reshape(size_px, supersample)
+    ink_by_cell_column = np.asarray(cells, dtype=bool)[sub].sum(axis=1)
+    ink = ink_by_cell_column[:, sub].sum(axis=2)
+    area = supersample * supersample
+    return GreyImage.from_float((ink * INK + (area - ink) * PAPER) / area)
 
 
 def render_sticker(sticker_id: int, size_px: int) -> GreyImage:

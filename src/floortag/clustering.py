@@ -61,9 +61,10 @@ def cluster_keypoints(points, merge_dist: float = 200.0) -> ClusterSet:
     """Lloyd iterations from farthest-point seeds, then merge close means.
 
     Merging repeats while any two means sit closer than merge_dist, then
-    clusters below MIN_CLUSTER_MEMBERS are absorbed into their nearest
-    neighbour (stray false matches never earn their own sticker), and finally
-    the closest pairs merge until at most MAX_STICKERS_IN_VIEW remain.
+    clusters below MIN_CLUSTER_MEMBERS are dropped (stray false matches
+    neither earn their own sticker nor stretch another's box), keeping the
+    largest when none reaches it, and finally the closest pairs merge until
+    at most MAX_STICKERS_IN_VIEW remain. Dropped points belong to no cluster.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if len(pts) < 1:
@@ -129,15 +130,11 @@ def cluster_keypoints(points, merge_dist: float = 200.0) -> ClusterSet:
         if d >= merge_dist:
             break
         merge(i, j)
-    while len(clusters) > 1:
-        small = min(range(len(clusters)), key=lambda k: len(clusters[k]))
-        if len(clusters[small]) >= MIN_CLUSTER_MEMBERS:
-            break
-        nearest = min(
-            (k for k in range(len(clusters)) if k != small),
-            key=lambda k: np.linalg.norm(clusters[k].mean - clusters[small].mean),
-        )
-        merge(min(small, nearest), max(small, nearest))
+    # A stray match lies at least merge_dist from every other cluster, so
+    # absorbing it would stretch that cluster's box; it is dropped instead.
+    clusters = [c for c in clusters if len(c) >= MIN_CLUSTER_MEMBERS] or [
+        max(clusters, key=len)
+    ]
     while len(clusters) > MAX_STICKERS_IN_VIEW:
         _, i, j = closest_pair()
         merge(i, j)

@@ -347,18 +347,49 @@ def _orientations(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return np.mod(np.arctan2(m01, m10), 2 * np.pi)
 
 
+# The two points of every test, as (2, 1, bits) x and y offsets.
+_PATTERN_X = np.ascontiguousarray(_PATTERN[:, 0::2].T)[:, None, :]
+_PATTERN_Y = np.ascontiguousarray(_PATTERN[:, 1::2].T)[:, None, :]
+# Keypoints _describe handles per pass; its (2, chunk, bits) buffers stay in cache.
+_DESCRIBE_CHUNK = 32
+
+
 def _describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
-    c = np.cos(angles)[:, None]
-    s = np.sin(angles)[:, None]
-    x1, y1, x2, y2 = _PATTERN.T
-    ax = np.rint(c * x1 - s * y1).astype(np.int64) + xs[:, None]
-    ay = np.rint(s * x1 + c * y1).astype(np.int64) + ys[:, None]
-    bx = np.rint(c * x2 - s * y2).astype(np.int64) + xs[:, None]
-    by = np.rint(s * x2 + c * y2).astype(np.int64) + ys[:, None]
-    w = smooth.shape[1]
+    """Packed tests smooth[first point] < smooth[second point], rotated to each angle.
+
+    A test point (x, y) lands at (rint(c x - s y), rint(s x + c y)) from the
+    keypoint. Both points of every test are rotated together, _DESCRIBE_CHUNK
+    keypoints at a time through three reused float64 buffers, and their flat
+    indices into smooth are formed in float64, where these integers are
+    exact, then cast once.
+    """
+    n, w = len(angles), smooth.shape[1]
     flat = smooth.ravel()
-    bits = flat[ay * w + ax] < flat[by * w + bx]
-    return np.packbits(bits, axis=1)
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    base = (ys * w + xs).astype(np.float64)[:, None]
+    shape = (2, min(_DESCRIBE_CHUNK, n), DESCRIPTOR_BITS)
+    rx, ry, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    idx = np.empty(shape, dtype=np.int64)
+    out = np.empty((n, DESCRIPTOR_BYTES), dtype=np.uint8)
+    for lo in range(0, n, _DESCRIBE_CHUNK):
+        hi = min(lo + _DESCRIBE_CHUNK, n)
+        c, s = cos[lo:hi], sin[lo:hi]
+        x, y, t, i = rx[:, : hi - lo], ry[:, : hi - lo], tmp[:, : hi - lo], idx[:, : hi - lo]
+        np.multiply(c, _PATTERN_X, out=x)
+        np.multiply(s, _PATTERN_Y, out=t)
+        np.subtract(x, t, out=x)
+        np.rint(x, out=x)
+        np.multiply(s, _PATTERN_X, out=y)
+        np.multiply(c, _PATTERN_Y, out=t)
+        np.add(y, t, out=y)
+        np.rint(y, out=y)
+        y *= w
+        y += x
+        y += base[lo:hi]
+        np.copyto(i, y, casting="unsafe")
+        values = flat[i]
+        out[lo:hi] = np.packbits(values[0] < values[1], axis=1)
+    return out
 
 
 def detect_and_describe(

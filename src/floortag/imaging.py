@@ -437,7 +437,8 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
     which removes the half-pixel bias of binarised boundary centres. Each edge
     is refined in one batch: one bilinear sample over all its points' profiles.
     A corner more than the image's width (x) or height (y) outside it then
-    raises NotAQuadError.
+    raises NotAQuadError. So does a quad that is not convex, such as one
+    whose edges cross.
     """
     pts = c.points.astype(np.float64)
     idx = _initial_corner_indices(pts)
@@ -492,6 +493,13 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
         size = np.array([image.width, image.height])
         if np.any((out < -size) | (out > 2 * size)):
             raise NotAQuadError("corner far outside the crop")
+    # A sticker's quad is convex: the path turns the same way at every corner.
+    # One whose edges cross, or that folds inward, is no sticker outline.
+    edges = np.roll(out, -1, axis=0) - out
+    before = np.roll(edges, 1, axis=0)
+    turns = before[:, 0] * edges[:, 1] - before[:, 1] * edges[:, 0]
+    if not (np.all(turns > 0) or np.all(turns < 0)):
+        raise NotAQuadError("quad not convex")
 
     # Counter-clockwise (positive shoelace) starting at the top-left-most corner.
     cross = float(np.dot(out[:, 0], np.roll(out[:, 1], -1)) - np.dot(np.roll(out[:, 0], -1), out[:, 1]))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from floortag import artwork
@@ -18,6 +21,7 @@ from floortag.simulate import RenderConfig, exposure_for_blur_px, render
 from floortag.warehouse import candidate_stickers, generate_grid_map
 
 from rectified import reference_rotation
+import supersampled
 
 INTR = CameraIntrinsics.reference_camera(binning=2)
 
@@ -73,6 +77,17 @@ def test_render_cells_sizes():
     assert img.width == img.height == 120
     with pytest.raises(ValueError):
         artwork.render_sticker(1, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=arrays(bool, (artwork.CELLS, artwork.CELLS)),
+    size=st.integers(artwork.CELLS, 300),
+    supersample=st.integers(1, 4),
+)
+def test_render_cells_equals_the_supersampled_raster(cells, size, supersample):
+    got = artwork.render_cells(cells, size, supersample)
+    assert np.array_equal(got.pixels, supersampled.render_cells(cells, size, supersample).pixels)
 
 
 def test_render_sticker_ink_fraction():

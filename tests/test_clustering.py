@@ -1,6 +1,10 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from floortag import clustering, pipeline, simulate
 from floortag.clustering import (
     ClusterSet,
     Roi,
@@ -11,6 +15,10 @@ from floortag.clustering import (
     select_primary_cluster,
 )
 from floortag.geometry import CameraIntrinsics
+from floortag.identify import ReferenceBank
+from floortag.warehouse import generate_grid_map
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def disc(rng, centre, radius, n):
@@ -86,6 +94,52 @@ def test_permutation_invariant_partition():
     sets1 = sorted((frozenset(c.members.tolist()) for c in cs1.clusters), key=min)
     sets2 = sorted((frozenset(perm[c.members].tolist()) for c in cs2.clusters), key=min)
     assert sets1 == sets2
+
+
+def test_a_stray_point_is_dropped_not_absorbed():
+    # One false match on the floor, farther than merge_dist from the cloud:
+    # absorbing it would stretch the sticker's box over the floor.
+    pts = np.vstack([disc(np.random.default_rng(11), (300, 250), 50, 40), [[900.0, 700.0]]])
+    cs = cluster_keypoints(pts, merge_dist=200)
+    assert len(cs) == 1
+    assert sorted(cs.clusters[0].members.tolist()) == list(range(40))
+    roi = roi_from_cluster(cs.clusters[0], pts, width=1296, height=972)
+    assert roi.x1 < 900 and roi.y1 < 700
+
+
+def test_only_stray_clusters_keep_the_largest():
+    pts = np.array([[0.0, 0.0], [3.0, 1.0], [500.0, 0.0], [0.0, 500.0]])
+    cs = cluster_keypoints(pts, merge_dist=50)
+    assert len(cs) == 1
+    assert sorted(cs.clusters[0].members.tolist()) == [0, 1]
+
+
+def test_a_stray_match_does_not_stretch_the_benchmark_roi(monkeypatch):
+    # perfbench's sharp workload, harness seed 1, frame 0: one false match
+    # ~200 px from the sticker once made its ROI 712x710 px instead of ~184x217.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import harness
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    wl = harness.WORKLOADS["sharp"]
+    intr = harness.camera()
+    wmap = generate_grid_map(wl.grid, wl.grid, harness.PITCH_M)
+    pose, cfg = next(iter(harness.frame_specs(wl, wmap, intr, 1)))
+    img, _ = simulate.render(wmap, intr, pose, cfg)
+    rois = []
+    real = clustering.roi_from_cluster
+
+    def spy(*args, **kwargs):
+        rois.append(real(*args, **kwargs))
+        return rois[-1]
+
+    monkeypatch.setattr(clustering, "roi_from_cluster", spy)
+    result, _ = pipeline.process_frame(img, wmap, intr, ReferenceBank.build(wmap, intr),
+                                       timestamp=0.0)
+    assert result.outcome == pipeline.OUTCOME_LOCALISED
+    assert len(rois) == 1
+    assert max(rois[0].width, rois[0].height) < 300
 
 
 def test_requires_points():

@@ -31,11 +31,14 @@ from floortag.identify import (
     DETECTION_FEATURES,
     VIEW_REFERENCE_FEATURES,
     REFERENCE_THRESHOLD,
+    ReferenceBank,
     reference_sizes,
 )
 from floortag.imaging import GreyImage
 from floortag.simulate import RenderConfig, exposure_for_blur_px, render
 from floortag.warehouse import generate_grid_map
+
+import supersampled
 
 INTR = CameraIntrinsics.reference_camera(binning=2)
 
@@ -119,6 +122,21 @@ def oracle_candidates(img: GreyImage, threshold: float):
     return pts, scores, oracle_harris_response(px, pts[:, 0], pts[:, 1])
 
 
+def oracle_describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
+    """Test bits from four rotated coordinate arrays, each cast to integers on its own."""
+    c = np.cos(angles)[:, None]
+    s = np.sin(angles)[:, None]
+    x1, y1, x2, y2 = features._PATTERN.T
+    ax = np.rint(c * x1 - s * y1).astype(np.int64) + xs[:, None]
+    ay = np.rint(s * x1 + c * y1).astype(np.int64) + ys[:, None]
+    bx = np.rint(c * x2 - s * y2).astype(np.int64) + xs[:, None]
+    by = np.rint(s * x2 + c * y2).astype(np.int64) + ys[:, None]
+    w = smooth.shape[1]
+    flat = smooth.ravel()
+    bits = flat[ay * w + ax] < flat[by * w + bx]
+    return np.packbits(bits, axis=1)
+
+
 def oracle_detect(img: GreyImage, max_features: int, threshold: float) -> FeatureSet:
     pts, scores, harris = oracle_candidates(img, threshold)
     if len(pts) == 0:
@@ -128,7 +146,7 @@ def oracle_detect(img: GreyImage, max_features: int, threshold: float) -> Featur
     xs, ys, scores = pts[order, 0], pts[order, 1], scores[order]
     angles = features._orientations(px, xs, ys)
     smooth = ndimage.uniform_filter(px, 5, mode="nearest")
-    descriptors = features._describe(smooth, xs, ys, angles)
+    descriptors = oracle_describe(smooth, xs, ys, angles)
     kps = [
         Keypoint(float(x), float(y), float(r), float(a))
         for x, y, r, a in zip(xs, ys, scores, angles)
@@ -205,6 +223,55 @@ def test_reference_artwork_features_match_oracle():
             ties = len(harris) - len(np.unique(harris))
             capped_with_ties += len(harris) > per_size and ties > 0
     assert capped_with_ties > 0
+
+
+def test_reference_bank_detection_matches_oracle():
+    # The bank's rasters drawn sub-pixel by sub-pixel, then detected in full frame.
+    got = ReferenceBank.build(generate_grid_map(3, 3, 1.0), INTR).detection
+    cells = artwork.sticker_cells_from_payloads(list(artwork.detection_reference_payloads(0)))
+    sizes = reference_sizes(INTR)
+    want = [
+        oracle_detect(supersampled.render_cells(cells, size),
+                      DETECTION_FEATURES // len(sizes), REFERENCE_THRESHOLD)
+        for size in sizes
+    ]
+    assert [astuple(k) for k in got.keypoints] == [astuple(k) for w in want for k in w.keypoints]
+    assert np.array_equal(got.descriptors, np.vstack([w.descriptors for w in want]))
+
+
+@pytest.mark.parametrize("kind", ["sharp", "smeared"])
+def test_frame_descriptors_match_oracle(scene_renders, kind):
+    # _describe on what detection hands it: the keypoint rows of the row store.
+    img = scene_renders[kind]
+    pts = oracle_candidates(img, 8.0)[0]
+    xs, ys = pts[:, 0], pts[:, 1]
+    angles = features._orientations(img.pixels, xs, ys)
+    store, rows = features._smoothed_rows(img.pixels, ys)
+    got = features._describe(store, xs, rows, angles)
+    assert len(got) > 50
+    assert np.array_equal(got, oracle_describe(store, xs, rows, angles))
+
+
+# Multiples of pi/4, where cos and sin are 0, +-1 or +-sqrt(1/2) up to rounding.
+_QUARTER_ANGLES = (np.arange(8) * np.pi / 4).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    angles=arrays(np.float64, st.integers(0, 40),
+                  elements=st.one_of(st.sampled_from(_QUARTER_ANGLES), st.floats(0.0, 2 * np.pi))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_descriptors_at_random_angles_match_oracle(angles, seed):
+    # Up to 40 keypoints: none, one or two _describe chunks. Rotated tests
+    # reach 13 px from a keypoint; levels in fifths tie often.
+    rng = np.random.default_rng(seed)
+    smooth = rng.integers(0, 256 * 5, size=(40, 60)) / 5.0
+    xs = rng.integers(13, 47, len(angles))
+    ys = rng.integers(13, 27, len(angles))
+    got = features._describe(smooth, xs, ys, angles)
+    assert got.shape == (len(angles), DESCRIPTOR_BYTES)
+    assert np.array_equal(got, oracle_describe(smooth, xs, ys, angles))
 
 
 def test_blank_frame_matches_oracle():

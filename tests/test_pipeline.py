@@ -189,10 +189,10 @@ def _edge_frame(wmap, cam, spin):
     return img
 
 
-@pytest.mark.parametrize("cam, spin", [((1.52, 1.0, 1.0), 0.0), ((1.0, 1.58, 1.0), 0.6)])
+@pytest.mark.parametrize("cam, spin", [((1.52, 1.0, 1.0), 0.0), ((1.0, 1.59, 1.0), 0.6)])
 def test_identification_crops_stay_inside_the_roi_at_the_frame_edge(wmap, bank, monkeypatch, cam, spin):
     # No sticker reads in these frames: at (1.52, 1, 1) the only outline's
-    # crop is 17-18 px wide, and at (1, 1.58, 1) the sticker is cut by the
+    # crop is 17-18 px wide, and at (1, 1.59, 1) the sticker is cut by the
     # frame edge (its first traced quad, ~1e5 px outside, is dropped).
     rois, crops = [], []
     real_extract, real_identify = pipeline.extract_corners, pipeline.identify_crop
@@ -214,10 +214,8 @@ def test_identification_crops_stay_inside_the_roi_at_the_frame_edge(wmap, bank, 
         assert any(crop.width <= r.width and crop.height <= r.height for r in rois)
 
 
-def test_quads_far_outside_their_crop_are_dropped_at_the_frame_edge(wmap, bank, monkeypatch):
-    # At (1, 1.58, 1) the partial outline's fitted edges are nearly parallel
-    # and met at ~1e5 px from a 297x157 crop; that quad is dropped, the next
-    # outline is tried, and the frame still reads nothing.
+def _spy_on_quads(monkeypatch):
+    """Lists that fill with the quads extract_quad_corners returns and the reasons it drops them."""
     kept, dropped = [], []
     real = pipeline.extract_quad_corners
 
@@ -231,10 +229,32 @@ def test_quads_far_outside_their_crop_are_dropped_at_the_frame_edge(wmap, bank, 
         return quad
 
     monkeypatch.setattr(pipeline, "extract_quad_corners", extract)
-    result, _ = process_frame(_edge_frame(wmap, (1.0, 1.58, 1.0), 0.6), wmap, INTR, bank,
+    return kept, dropped
+
+
+def test_quads_far_outside_their_crop_are_dropped_at_the_frame_edge(wmap, bank, monkeypatch):
+    # At (1, 1.59, 1) the partial outline's fitted edges are nearly parallel
+    # and meet far from the crop; that quad is dropped, the next outline is
+    # tried, and the frame still reads nothing.
+    kept, dropped = _spy_on_quads(monkeypatch)
+    result, _ = process_frame(_edge_frame(wmap, (1.0, 1.59, 1.0), 0.6), wmap, INTR, bank,
                               timestamp=0.0)
     assert result.outcome == OUTCOME_DETECTED_UNREAD
     assert "corner far outside the crop" in dropped
     assert kept
     for corners, w, h in kept:
         assert np.all((corners >= (-w, -h)) & (corners <= (2 * w, 2 * h)))
+
+
+def test_self_crossing_quads_never_reach_identification(wmap, bank, monkeypatch):
+    # At (1, 1.58, 1) the first outline's corners lie ~1e5 px outside its
+    # 297x157 crop, and the next ones give quads whose edges cross, such as
+    # (132.0, 0.9), (191.8, 32.0), (187.4, 12.3), (155.2, 35.0).
+    kept, dropped = _spy_on_quads(monkeypatch)
+    identified = []
+    monkeypatch.setattr(pipeline, "identify_crop", lambda *args: identified.append(args))
+    result, _ = process_frame(_edge_frame(wmap, (1.0, 1.58, 1.0), 0.6), wmap, INTR, bank,
+                              timestamp=0.0)
+    assert result.outcome == OUTCOME_DETECTED_UNREAD
+    assert "corner far outside the crop" in dropped and "quad not convex" in dropped
+    assert kept == [] and identified == []

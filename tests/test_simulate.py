@@ -19,6 +19,8 @@ from floortag.identify import ViewContext, render_candidate_view
 from floortag.imaging import bilinear_sample
 from floortag.warehouse import StickerSpec, WarehouseMap, generate_grid_map
 
+import supersampled
+
 INTR = CameraIntrinsics.reference_camera(binning=4)  # 648x486, quick for tests
 
 
@@ -160,6 +162,15 @@ def test_truth_sidecar_rejects_a_malformed_file(tmp_path, lines, message):
 def test_ground_truth_lookup_missing():
     with pytest.raises(KeyError):
         GroundTruth([]).corners_of(5)
+
+
+def test_every_texture_of_a_10x10_map_equals_the_supersampled_raster():
+    wmap = generate_grid_map(10, 10, 1.0)
+    for sticker_id in wmap.ids:
+        payloads = wmap.get(sticker_id).payloads
+        cells = artwork.sticker_cells_from_payloads(list(payloads))
+        want = supersampled.render_cells(cells, simulate.STICKER_TEXTURE_PX, supersample=2)
+        assert np.array_equal(simulate.sticker_texture(payloads), want.pixels)
 
 
 def _float_texture(payloads):
