@@ -25,14 +25,6 @@ class Cluster:
 
 
 @dataclass(frozen=True)
-class ClusterSet:
-    clusters: list[Cluster]
-
-    def __len__(self) -> int:
-        return len(self.clusters)
-
-
-@dataclass(frozen=True)
 class Roi:
     x0: int
     y0: int
@@ -57,7 +49,7 @@ def default_merge_dist(intr: CameraIntrinsics) -> float:
     return 1.5 * STICKER_SIZE_M * intr.focal_px / TYPICAL_VIEWING_DISTANCE_M
 
 
-def cluster_keypoints(points, merge_dist: float = 200.0) -> ClusterSet:
+def cluster_keypoints(points, merge_dist: float = 200.0) -> list[Cluster]:
     """Lloyd iterations from farthest-point seeds, then merge close means.
 
     Merging repeats while any two means sit closer than merge_dist, then
@@ -96,8 +88,9 @@ def cluster_keypoints(points, merge_dist: float = 200.0) -> ClusterSet:
                 new_means.append(pts[sel].mean(axis=0))
                 keep.append(k)
         new_means = np.asarray(new_means)
-        remap = {old: new for new, old in enumerate(keep)}
-        assign = np.array([remap[a] for a in assign])
+        remap = np.empty(len(means), dtype=np.int64)
+        remap[keep] = np.arange(len(keep))
+        assign = remap[assign]
         shift = (
             np.linalg.norm(new_means - means[keep], axis=1).max() if len(keep) else 0.0
         )
@@ -138,18 +131,18 @@ def cluster_keypoints(points, merge_dist: float = 200.0) -> ClusterSet:
     while len(clusters) > MAX_STICKERS_IN_VIEW:
         _, i, j = closest_pair()
         merge(i, j)
-    return ClusterSet(clusters)
+    return clusters
 
 
-def select_primary_cluster(cs: ClusterSet) -> Cluster:
+def select_primary_cluster(clusters: list[Cluster]) -> Cluster:
     """Largest cluster; ties resolved toward smaller mean x, then smaller mean y."""
-    if len(cs) < 1:
-        raise ValueError("empty cluster set")
-    return min(cs.clusters, key=lambda c: (-len(c), c.mean[0], c.mean[1]))
+    if len(clusters) < 1:
+        raise ValueError("empty cluster list")
+    return min(clusters, key=lambda c: (-len(c), c.mean[0], c.mean[1]))
 
 
-def clusters_by_size(cs: ClusterSet) -> list[Cluster]:
-    return sorted(cs.clusters, key=lambda c: (-len(c), c.mean[0], c.mean[1]))
+def clusters_by_size(clusters: list[Cluster]) -> list[Cluster]:
+    return sorted(clusters, key=lambda c: (-len(c), c.mean[0], c.mean[1]))
 
 
 def roi_from_cluster(

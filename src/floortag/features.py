@@ -45,6 +45,15 @@ Detection costs what is textured, not what is in the frame:
 Keypoints and descriptors equal those of the plain full-frame computation,
 which the tests keep as their reference.
 
+Keypoints travel as columns, not objects. A `FeatureSet` holds `positions`,
+an (n, 2) float64 array of (x, y) pixels, and `descriptors`, the matching
+(n, 32) uint8 rows, strongest FAST score first. The FAST score orders the
+rows and the angle rotates each descriptor; neither is kept. A `MatchSet`
+holds three equal-length columns: `reference` and `scene`, row indices into
+the two FeatureSets, and `distance`, in Hamming bits. Its rows run by
+distance, then by reference index, and `positions[matches.scene]` are the
+matched scene points.
+
 Hamming distances use a word-level popcount: each 32-byte descriptor is
 viewed as four 64-bit words, and `np.bitwise_count` counts the bits of their
 XOR.
@@ -52,7 +61,7 @@ XOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -119,48 +128,37 @@ _PATTERN = _test_pattern()
 
 
 @dataclass(frozen=True)
-class Keypoint:
-    x: float
-    y: float
-    response: float
-    angle: float  # radians in [0, 2*pi)
-
-
-@dataclass(frozen=True)
 class FeatureSet:
-    """Keypoints with their packed 32-byte descriptors, response-ordered."""
+    """Keypoints as columns, strongest FAST score first: (x, y) positions and descriptors."""
 
-    keypoints: list[Keypoint]
+    positions: np.ndarray  # (n, 2) float64
     descriptors: np.ndarray  # (n, 32) uint8
 
     def __post_init__(self):
+        p = np.asarray(self.positions, dtype=np.float64).reshape(-1, 2)
         d = np.asarray(self.descriptors, dtype=np.uint8).reshape(-1, DESCRIPTOR_BYTES)
-        if len(self.keypoints) != len(d):
-            raise ValueError("keypoint/descriptor count mismatch")
+        if len(p) != len(d):
+            raise ValueError("position/descriptor count mismatch")
+        object.__setattr__(self, "positions", p)
         object.__setattr__(self, "descriptors", d)
 
     def __len__(self) -> int:
-        return len(self.keypoints)
-
-    def __iter__(self):
-        return zip(self.keypoints, self.descriptors)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.array([[k.x, k.y] for k in self.keypoints]).reshape(-1, 2)
+        return len(self.positions)
 
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Mutual nearest-neighbour matches, distance-ascending."""
+    """Mutual nearest-neighbour matches as index columns, by distance then reference index."""
 
-    pairs: list[tuple[int, int, int]] = field(default_factory=list)
+    reference: np.ndarray  # indices into the reference FeatureSet
+    scene: np.ndarray  # indices into the scene FeatureSet
+    distance: np.ndarray  # Hamming distances in bits
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.scene)
 
-    def scene_indices(self) -> list[int]:
-        return [p[1] for p in self.pairs]
+    def scene_indices(self) -> np.ndarray:
+        return self.scene
 
 
 # Pixels the FAST pre-test handles per pass; its four buffers stay in cache.
@@ -421,7 +419,7 @@ def detect_and_describe(
     )
     pts, scores = pts[inside], scores[inside]
     if len(pts) == 0:
-        return FeatureSet([], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
+        return FeatureSet(pts, np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
     xs, ys = pts[:, 0], pts[:, 1]
     # Harris decides a corner's place only when the cap cuts or its FAST score
     # is shared: a unique score alone fixes its place in the final stable sort.
@@ -436,11 +434,7 @@ def detect_and_describe(
     smooth, rows = _smoothed_rows(img.pixels, ys)
     descriptors = _describe(smooth, xs, rows, angles)
     order = np.argsort(-scores, kind="stable")
-    kps = [
-        Keypoint(float(xs[i]), float(ys[i]), float(scores[i]), float(angles[i]))
-        for i in order
-    ]
-    return FeatureSet(kps, descriptors[order])
+    return FeatureSet(np.column_stack([xs, ys])[order], descriptors[order])
 
 
 def _distance_matrix(ref: np.ndarray, scene: np.ndarray) -> np.ndarray:
@@ -461,16 +455,9 @@ def _distance_matrix(ref: np.ndarray, scene: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_descriptor_array(obj) -> np.ndarray:
-    if isinstance(obj, FeatureSet):
-        return obj.descriptors
-    return np.asarray(obj, dtype=np.uint8).reshape(-1, DESCRIPTOR_BYTES)
-
-
-def match(reference, scene, max_distance: int = 64) -> MatchSet:
+def match(reference: FeatureSet, scene: FeatureSet, max_distance: int = 64) -> MatchSet:
     """Mutual nearest-neighbour Hamming matches within max_distance bits."""
-    ref = _as_descriptor_array(reference)
-    sc = _as_descriptor_array(scene)
+    ref, sc = reference.descriptors, scene.descriptors
     if len(ref) == 0 or len(sc) == 0:
         raise ValueError("descriptor sets must be non-empty")
     dist = _distance_matrix(ref, sc)
@@ -480,7 +467,7 @@ def match(reference, scene, max_distance: int = 64) -> MatchSet:
     mutual = (d <= max_distance) & (dist.argmin(axis=0)[j] == i)
     i, j, d = i[mutual], j[mutual], d[mutual]
     order = np.lexsort((i, d))
-    return MatchSet(list(zip(i[order].tolist(), j[order].tolist(), d[order].tolist())))
+    return MatchSet(i[order], j[order], d[order])
 
 
 def sticker_present(matches: MatchSet, detect_min: int, absent_max: int) -> str:

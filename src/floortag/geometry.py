@@ -113,8 +113,9 @@ def load_intrinsics(path) -> CameraIntrinsics:
     """Read `key = value` intrinsics; missing keys fall back to the reference camera.
 
     Keys are the seven that save_intrinsics writes (INTRINSICS_KEYS). Values
-    must be finite numbers, and width and height whole numbers. An unknown
-    key or a malformed line raises IntrinsicsFormatError naming the file and line.
+    must be finite numbers, and width and height whole numbers. An unknown or
+    repeated key or a malformed line raises IntrinsicsFormatError naming the
+    file and line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -122,6 +123,7 @@ def load_intrinsics(path) -> CameraIntrinsics:
     except UnicodeDecodeError as exc:
         raise IntrinsicsFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -143,6 +145,11 @@ def load_intrinsics(path) -> CameraIntrinsics:
             raise IntrinsicsFormatError(f"{where} must be finite, got {text!r}")
         if key in ("width", "height") and not value.is_integer():
             raise IntrinsicsFormatError(f"{where} must be a whole number, got {text!r}")
+        if key in first_line:
+            raise IntrinsicsFormatError(
+                f"{where} is repeated (first seen line {first_line[key]})"
+            )
+        first_line[key] = lineno
         values[key] = value
     try:
         return CameraIntrinsics.from_physical(

@@ -69,17 +69,19 @@ def _multi_size_features(
     cells: np.ndarray, sizes, features_total: int, threshold: float = REFERENCE_THRESHOLD
 ) -> FeatureSet:
     per_size = max(1, features_total // len(sizes))
-    kps, descs = [], []
-    for size in sizes:
-        feats = detect_and_describe(
+    per_raster = [
+        detect_and_describe(
             artwork.render_cells(cells, size), max_features=per_size, threshold=threshold
         )
-        kps.extend(feats.keypoints)
-        descs.append(feats.descriptors)
-    merged = np.vstack([d for d in descs if len(d)]) if descs else np.empty((0, 32), np.uint8)
-    if len(kps) == 0:
+        for size in sizes
+    ]
+    merged = FeatureSet(
+        np.concatenate([f.positions for f in per_raster]),
+        np.concatenate([f.descriptors for f in per_raster]),
+    )
+    if len(merged) == 0:
         raise ValueError("reference artwork produced no features")
-    return FeatureSet(kps, merged)
+    return merged
 
 
 class ReferenceBank:

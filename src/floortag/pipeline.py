@@ -255,12 +255,12 @@ def process_frame(
         return LocalisationResult(frame_id, OUTCOME_NO_STICKER, timings_ms=clock.timings), state
 
     points = feats.positions[matches.scene_indices()]
-    cluster_set = clustering.cluster_keypoints(
+    clusters = clustering.cluster_keypoints(
         points, merge_dist=clustering.default_merge_dist(intr)
     )
     min_roi = cfg.roi_min_size_factor * artwork.STICKER_SIZE_M * intr.focal_px
     rois = []
-    for cluster in clustering.clusters_by_size(cluster_set):
+    for cluster in clustering.clusters_by_size(clusters):
         try:
             roi = clustering.roi_from_cluster(
                 cluster, points, intr.width, intr.height, cfg.roi_margin,

@@ -6,7 +6,6 @@ import pytest
 
 from floortag import clustering, pipeline, simulate
 from floortag.clustering import (
-    ClusterSet,
     Roi,
     cluster_keypoints,
     clusters_by_size,
@@ -32,7 +31,7 @@ def test_single_cloud_collapses_to_one_cluster():
     pts = disc(rng, (300, 250), 50, 40)
     cs = cluster_keypoints(pts, merge_dist=200)
     assert len(cs) == 1
-    assert len(cs.clusters[0]) == 40
+    assert len(cs[0]) == 40
 
 
 def test_two_separated_discs_stay_pure():
@@ -43,13 +42,13 @@ def test_two_separated_discs_stay_pure():
     cs = cluster_keypoints(pts, merge_dist=200)
     assert len(cs) == 2
     # Brute-force nearest-mean oracle: every point belongs to its closest mean.
-    means = np.array([c.mean for c in cs.clusters])
-    for ci, c in enumerate(cs.clusters):
+    means = np.array([c.mean for c in cs])
+    for ci, c in enumerate(cs):
         for idx in c.members:
             d = np.linalg.norm(means - pts[idx], axis=1)
             assert np.argmin(d) == ci
     # Purity: each cluster holds points of exactly one disc.
-    for c in cs.clusters:
+    for c in cs:
         sides = set(int(i >= 40) for i in c.members)
         assert len(sides) == 1
 
@@ -61,15 +60,15 @@ def test_three_clouds_with_capped_clusters():
     )
     cs = cluster_keypoints(pts, merge_dist=150)
     assert len(cs) == 3
-    assert sum(len(c) for c in cs.clusters) == 90
+    assert sum(len(c) for c in cs) == 90
 
 
 def test_membership_preserved_through_merging():
     rng = np.random.default_rng(4)
     pts = disc(rng, (400, 300), 120, 77)
     cs = cluster_keypoints(pts, merge_dist=500)
-    assert sum(len(c) for c in cs.clusters) == 77
-    all_members = np.concatenate([c.members for c in cs.clusters])
+    assert sum(len(c) for c in cs) == 77
+    all_members = np.concatenate([c.members for c in cs])
     assert sorted(all_members.tolist()) == list(range(77))
 
 
@@ -78,7 +77,7 @@ def test_post_merge_means_separated():
     pts = np.vstack([disc(rng, (100, 100), 60, 50), disc(rng, (420, 110), 60, 50)])
     merge_dist = 180.0
     cs = cluster_keypoints(pts, merge_dist=merge_dist)
-    means = np.array([c.mean for c in cs.clusters])
+    means = np.array([c.mean for c in cs])
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             assert np.linalg.norm(means[i] - means[j]) >= merge_dist
@@ -91,8 +90,8 @@ def test_permutation_invariant_partition():
     perm = rng.permutation(len(pts))
     cs2 = cluster_keypoints(pts[perm], merge_dist=200)
 
-    sets1 = sorted((frozenset(c.members.tolist()) for c in cs1.clusters), key=min)
-    sets2 = sorted((frozenset(perm[c.members].tolist()) for c in cs2.clusters), key=min)
+    sets1 = sorted((frozenset(c.members.tolist()) for c in cs1), key=min)
+    sets2 = sorted((frozenset(perm[c.members].tolist()) for c in cs2), key=min)
     assert sets1 == sets2
 
 
@@ -102,8 +101,8 @@ def test_a_stray_point_is_dropped_not_absorbed():
     pts = np.vstack([disc(np.random.default_rng(11), (300, 250), 50, 40), [[900.0, 700.0]]])
     cs = cluster_keypoints(pts, merge_dist=200)
     assert len(cs) == 1
-    assert sorted(cs.clusters[0].members.tolist()) == list(range(40))
-    roi = roi_from_cluster(cs.clusters[0], pts, width=1296, height=972)
+    assert sorted(cs[0].members.tolist()) == list(range(40))
+    roi = roi_from_cluster(cs[0], pts, width=1296, height=972)
     assert roi.x1 < 900 and roi.y1 < 700
 
 
@@ -111,7 +110,7 @@ def test_only_stray_clusters_keep_the_largest():
     pts = np.array([[0.0, 0.0], [3.0, 1.0], [500.0, 0.0], [0.0, 500.0]])
     cs = cluster_keypoints(pts, merge_dist=50)
     assert len(cs) == 1
-    assert sorted(cs.clusters[0].members.tolist()) == [0, 1]
+    assert sorted(cs[0].members.tolist()) == [0, 1]
 
 
 def test_a_stray_match_does_not_stretch_the_benchmark_roi(monkeypatch):
@@ -166,7 +165,7 @@ def test_select_primary_by_count():
 
 def test_select_primary_single_cluster_identity():
     cs = cluster_keypoints(np.array([[5.0, 5.0], [6.0, 5.0]]), merge_dist=50)
-    assert select_primary_cluster(cs) is cs.clusters[0]
+    assert select_primary_cluster(cs) is cs[0]
 
 
 def test_select_primary_tie_breaks_on_mean_x():
@@ -182,14 +181,14 @@ def test_select_primary_tie_breaks_on_mean_x():
 def test_roi_arithmetic():
     pts = np.array([[100.0, 100.0], [200.0, 200.0], [150.0, 130.0]])
     cs = cluster_keypoints(pts, merge_dist=1000)
-    roi = roi_from_cluster(cs.clusters[0], pts, width=1000, height=1000, margin_factor=0.25)
+    roi = roi_from_cluster(cs[0], pts, width=1000, height=1000, margin_factor=0.25)
     assert (roi.x0, roi.y0, roi.x1, roi.y1) == (75, 75, 225, 225)
 
 
 def test_roi_clipped_to_image():
     pts = np.array([[5.0, 5.0], [60.0, 40.0]])
     cs = cluster_keypoints(pts, merge_dist=1000)
-    roi = roi_from_cluster(cs.clusters[0], pts, width=64, height=48)
+    roi = roi_from_cluster(cs[0], pts, width=64, height=48)
     assert roi.x0 >= 0 and roi.y0 >= 0
     assert roi.x1 <= 63 and roi.y1 <= 47
 

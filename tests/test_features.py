@@ -1,4 +1,3 @@
-from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -19,7 +18,6 @@ from floortag.features import (
     MARGIN,
     UNCERTAIN,
     FeatureSet,
-    Keypoint,
     MatchSet,
     calibrate_thresholds,
     detect_and_describe,
@@ -41,6 +39,11 @@ from floortag.warehouse import generate_grid_map
 import supersampled
 
 INTR = CameraIntrinsics.reference_camera(binning=2)
+
+
+def described(descriptors: np.ndarray) -> FeatureSet:
+    """Descriptor rows as a FeatureSet; matching reads no positions."""
+    return FeatureSet(np.zeros((len(descriptors), 2)), descriptors)
 
 
 # Reference detector: the plain full-frame computation. detect_and_describe
@@ -140,25 +143,21 @@ def oracle_describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
 def oracle_detect(img: GreyImage, max_features: int, threshold: float) -> FeatureSet:
     pts, scores, harris = oracle_candidates(img, threshold)
     if len(pts) == 0:
-        return FeatureSet([], np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
+        return FeatureSet(np.empty((0, 2)), np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
     px = img.to_float()
     order = np.argsort(-harris, kind="stable")[:max_features]
     xs, ys, scores = pts[order, 0], pts[order, 1], scores[order]
     angles = features._orientations(px, xs, ys)
     smooth = ndimage.uniform_filter(px, 5, mode="nearest")
     descriptors = oracle_describe(smooth, xs, ys, angles)
-    kps = [
-        Keypoint(float(x), float(y), float(r), float(a))
-        for x, y, r, a in zip(xs, ys, scores, angles)
-    ]
-    order = np.argsort([-k.response for k in kps], kind="stable")
-    return FeatureSet([kps[i] for i in order], descriptors[order])
+    order = np.argsort(-scores, kind="stable")
+    return FeatureSet(np.column_stack([xs, ys])[order], descriptors[order])
 
 
 def assert_matches_oracle(img: GreyImage, max_features: int, threshold: float) -> FeatureSet:
     got = detect_and_describe(img, max_features=max_features, threshold=threshold)
     want = oracle_detect(img, max_features, threshold)
-    assert [astuple(k) for k in got.keypoints] == [astuple(k) for k in want.keypoints]
+    assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.descriptors, want.descriptors)
     return got
 
@@ -235,7 +234,7 @@ def test_reference_bank_detection_matches_oracle():
                       DETECTION_FEATURES // len(sizes), REFERENCE_THRESHOLD)
         for size in sizes
     ]
-    assert [astuple(k) for k in got.keypoints] == [astuple(k) for w in want for k in w.keypoints]
+    assert np.array_equal(got.positions, np.vstack([w.positions for w in want]))
     assert np.array_equal(got.descriptors, np.vstack([w.descriptors for w in want]))
 
 
@@ -434,7 +433,7 @@ def test_detection_makes_no_float_copy_of_the_frame(scene_renders, monkeypatch):
     monkeypatch.setattr(GreyImage, "to_float", refuse)
     got = detect_and_describe(scene_renders["sharp"], max_features=1000, threshold=20.0)
     assert len(got) > 50
-    assert [astuple(k) for k in got.keypoints] == [astuple(k) for k in want.keypoints]
+    assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.descriptors, want.descriptors)
 
 
@@ -462,19 +461,19 @@ def test_reference_sticker_keypoint_count():
 
 
 def test_keypoints_sorted_by_response_and_capped():
-    feats = detect_and_describe(render_sticker(2, 400), max_features=120)
-    assert len(feats) <= 120
-    responses = [k.response for k in feats.keypoints]
-    assert responses == sorted(responses, reverse=True)
+    # The oracle orders its keypoints by FAST score, the response.
+    feats = assert_matches_oracle(render_sticker(2, 400), 120, 20.0)
+    assert len(feats) == 120
 
 
 def test_keypoints_respect_margin():
     img = render_sticker(3, 300)
     feats = detect_and_describe(img, max_features=500)
-    for kp in feats.keypoints:
-        assert 16 <= kp.x < img.width - 16
-        assert 16 <= kp.y < img.height - 16
-        assert 0 <= kp.angle < 2 * np.pi
+    xs, ys = feats.positions.T
+    assert ((16 <= xs) & (xs < img.width - 16)).all()
+    assert ((16 <= ys) & (ys < img.height - 16)).all()
+    angles = features._orientations(img.pixels, xs.astype(np.int64), ys.astype(np.int64))
+    assert ((0 <= angles) & (angles < 2 * np.pi)).all()
 
 
 def test_rotated_copy_matches_with_small_distance():
@@ -484,8 +483,7 @@ def test_rotated_copy_matches_with_small_distance():
     b = detect_and_describe(rotated, max_features=300, threshold=15.0)
     ms = match(a, b, max_distance=64)
     assert len(ms) > 0.7 * min(len(a), len(b))
-    distances = [d for _, _, d in ms.pairs]
-    assert np.median(distances) <= 40
+    assert np.median(ms.distance) <= 40
 
 
 def test_match_self_identity():
@@ -493,23 +491,23 @@ def test_match_self_identity():
     # Grid artwork can yield byte-identical descriptors; self-identity is
     # defined on distinct descriptor values.
     unique = np.unique(feats.descriptors, axis=0)
-    ms = match(unique, unique, max_distance=64)
+    ms = match(described(unique), described(unique), max_distance=64)
     assert len(ms) == len(unique)
-    assert all(i == j and d == 0 for i, j, d in ms.pairs)
+    assert np.array_equal(ms.reference, ms.scene) and not ms.distance.any()
 
 
 def test_random_descriptors_rarely_match_close():
     rng = np.random.default_rng(0)
     a = rng.integers(0, 256, size=(100, 32), dtype=np.uint8)
     b = rng.integers(0, 256, size=(100, 32), dtype=np.uint8)
-    ms = match(a, b, max_distance=10)
+    ms = match(described(a), described(b), max_distance=10)
     assert len(ms) == 0
 
 
 def test_match_requires_descriptors():
     feats = detect_and_describe(render_sticker(4, 220), max_features=50)
     with pytest.raises(ValueError):
-        match(np.empty((0, 32), dtype=np.uint8), feats)
+        match(described(np.empty((0, 32), dtype=np.uint8)), feats)
 
 
 def test_match_sorted_by_distance():
@@ -519,9 +517,8 @@ def test_match_sorted_by_distance():
     for i in range(60):
         for _ in range(i % 5):
             noisy[i, rng.integers(0, 32)] ^= 1 << rng.integers(0, 8)
-    ms = match(base, noisy, max_distance=64)
-    distances = [d for _, _, d in ms.pairs]
-    assert distances == sorted(distances)
+    ms = match(described(base), described(noisy), max_distance=64)
+    assert np.array_equal(ms.distance, np.sort(ms.distance))
 
 
 def test_match_one_to_one_on_scene():
@@ -530,7 +527,7 @@ def test_match_one_to_one_on_scene():
     ref[2, 1] = 0xFF
     scene = np.zeros((2, 32), dtype=np.uint8)
     scene[1, 0] = 0xFF
-    ms = match(ref, scene, max_distance=256)
+    ms = match(described(ref), described(scene), max_distance=256)
     scene_indices = ms.scene_indices()
     assert len(scene_indices) == len(set(scene_indices))
 
@@ -538,8 +535,8 @@ def test_match_one_to_one_on_scene():
 def test_match_tie_breaks_to_lower_scene_index():
     ref = np.zeros((1, 32), dtype=np.uint8)
     scene = np.zeros((3, 32), dtype=np.uint8)
-    ms = match(ref, scene, max_distance=0)
-    assert ms.pairs == [(0, 0, 0)]
+    ms = match(described(ref), described(scene), max_distance=0)
+    assert (ms.reference.tolist(), ms.scene.tolist(), ms.distance.tolist()) == ([0], [0], [0])
 
 
 def test_hamming_is_a_metric_on_random_triples():
@@ -593,8 +590,8 @@ def test_scene_superset_rarely_loses_matches():
         ref = rng.integers(0, 256, size=(50, 32), dtype=np.uint8)
         scene = rng.integers(0, 256, size=(80, 32), dtype=np.uint8)
         extra = rng.integers(0, 256, size=(40, 32), dtype=np.uint8)
-        m1 = len(match(ref, scene, max_distance=128))
-        m2 = len(match(ref, np.vstack([scene, extra]), max_distance=128))
+        m1 = len(match(described(ref), described(scene), max_distance=128))
+        m2 = len(match(described(ref), described(np.vstack([scene, extra])), max_distance=128))
         if m2 < m1:
             losses += 1
     assert losses <= trials * 0.05 + 1
@@ -602,7 +599,7 @@ def test_scene_superset_rarely_loses_matches():
 
 def test_sticker_present_thresholds():
     def fake(n):
-        return MatchSet([(i, i, 0) for i in range(n)])
+        return MatchSet(np.arange(n), np.arange(n), np.zeros(n, dtype=np.uint16))
 
     assert sticker_present(fake(51), 50, 15) == DETECTED
     assert sticker_present(fake(50), 50, 15) == UNCERTAIN
@@ -620,7 +617,7 @@ def test_calibrate_thresholds():
 
 def test_feature_set_validates_lengths():
     with pytest.raises(ValueError):
-        FeatureSet([Keypoint(1, 1, 0, 0)], np.zeros((2, 32), dtype=np.uint8))
+        FeatureSet(np.ones((1, 2)), np.zeros((2, 32), dtype=np.uint8))
 
 
 # Reference matcher: a Python loop over the references. match must return the
@@ -655,8 +652,7 @@ def test_match_equals_loop_oracle_with_tied_distances(seed):
     ref, scene = draw(int(rng.integers(1, 60))), draw(int(rng.integers(1, 60)))
     for max_distance in (0, 1, 2, 64, 256):
         want = oracle_match(ref, scene, max_distance)
-        got = match(ref, scene, max_distance=max_distance).pairs
-        assert got == want
-        assert all(type(v) is int for p in got for v in p)
+        ms = match(described(ref), described(scene), max_distance=max_distance)
+        assert list(zip(ms.reference.tolist(), ms.scene.tolist(), ms.distance.tolist())) == want
     dist = oracle_distance_matrix(ref, scene)
     assert len(np.unique(dist)) < dist.size

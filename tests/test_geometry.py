@@ -98,6 +98,15 @@ def test_intrinsics_file_rejects_an_unknown_key(tmp_path, line, key):
     assert str(exc.value).startswith(f"{path}:3: unknown key {key!r}; expected one of focal_m,")
 
 
+def test_intrinsics_file_rejects_a_repeated_key(tmp_path):
+    # The second focal length must not silently replace the first.
+    path = tmp_path / "cam.txt"
+    path.write_text("focal_m = 0.0036\nwidth = 1296\n# again\nfocal_m = 0.0072\n")
+    with pytest.raises(IntrinsicsFormatError) as exc:
+        load_intrinsics(path)
+    assert str(exc.value) == f"{path}:4: focal_m is repeated (first seen line 1)"
+
+
 def test_intrinsics_file_rejects_an_impossible_camera(tmp_path):
     path = tmp_path / "cam.txt"
     path.write_text("pixel_pitch_m = 0\n")

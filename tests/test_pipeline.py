@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from floortag.geometry import CameraIntrinsics, downward_camera_pose
+from floortag.bench import sample_camera_pose
+from floortag.geometry import CameraIntrinsics, camera_world_position, downward_camera_pose
 from floortag import pipeline
 from floortag.identify import ReferenceBank
 from floortag.imaging import GreyImage, NotAQuadError
@@ -156,6 +157,27 @@ def test_walking_path_sequence(wmap, bank):
     for r, cam in zip(results, cams):
         if r.outcome == OUTCOME_LOCALISED:
             assert np.linalg.norm(r.position - np.asarray(cam)) < 0.03
+
+
+@pytest.mark.parametrize("gain", [0.25, 2.0])
+def test_illumination_extremes_localise_by_decoding(wmap, bank, gain):
+    # The ends of the 50-200 lux spread that RenderConfig.illumination stands
+    # in for. The same 12 poses at both gains, aimed at random stickers as
+    # bench.run_benchmark aims them; the dark frame 2 (a whole sticker 93 px
+    # across, 1.38 m below the camera) lands 41.5 mm off, within perfbench's
+    # 100 mm tolerance.
+    rng = np.random.default_rng(17)
+    errors = []
+    for k in range(12):
+        target = wmap.get(wmap.ids[int(rng.integers(0, len(wmap.ids)))])
+        pose = sample_camera_pose(rng, (target.world_x, target.world_y))
+        img, truth = render(wmap, INTR, pose, RenderConfig(seed=1700 + k, illumination=gain))
+        result, _ = process_frame(img, wmap, INTR, bank, TrackerState(), timestamp=0.0)
+        assert truth.visible
+        assert (result.outcome, result.method) == (OUTCOME_LOCALISED, "decoded")
+        errors.append(np.linalg.norm(result.position - camera_world_position(pose)))
+    assert max(errors) < 0.100
+    assert np.median(errors) < 0.020
 
 
 def test_tracker_state_expiry():
