@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,8 @@ def _parse_pose(text: str) -> Pose:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 6:
         raise argparse.ArgumentTypeError("pose needs x,y,z,roll,pitch,yaw")
+    if not all(math.isfinite(v) for v in parts):
+        raise argparse.ArgumentTypeError(f"pose values must be finite, got {text!r}")
     x, y, z, roll, pitch, yaw = parts
     # Orientation applies to the nominal downward-looking camera, ZYX intrinsic.
     r_cw = rotation_zyx(roll, pitch, yaw) @ DOWNWARD_BASE

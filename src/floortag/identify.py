@@ -8,6 +8,8 @@ Rendering into the view keeps heavy blur from washing out the payload texture
 that separates candidates. The view is fitted once per outline
 (`estimate_view`): its orientation from the outline sampled at fixed artwork
 positions (`artwork.best_artwork_rotation`), its smear length by rendering.
+Both the fit and the scoring draw and match through one helper,
+`_view_matches`; the fit draws the probe candidate at each trial length.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .imaging import UNIT_SQUARE, GreyImage, bilinear_sample
 from .simulate import FLOOR_LUMINANCE, sticker_texture
 from .warehouse import WarehouseMap
 
-VIEW_REFERENCE_FEATURES = 500
+VIEW_REFERENCE_FEATURES = 500  # features of a candidate drawn into the view, when scored
+PROBE_FEATURES = 400  # features of the probe drawn at a trial smear length
 DETECTION_FEATURES = 1200
 DEFAULT_ACCEPT_MIN = 80
 DEFAULT_MARGIN_RATIO = 1.25
@@ -85,7 +88,7 @@ def _multi_size_features(
 
 
 class ReferenceBank:
-    """The generic detection reference, and each candidate drawn into a view."""
+    """The generic detection reference, and the map; candidates are drawn as they are scored."""
 
     def __init__(self, detection: FeatureSet, warehouse_map: WarehouseMap):
         self.detection = detection
@@ -100,15 +103,6 @@ class ReferenceBank:
             detection_cells, reference_sizes(intr), DETECTION_FEATURES
         )
         return cls(detection, warehouse_map)
-
-    def reference(self, sticker_id: int, view: ViewContext) -> FeatureSet:
-        """Features of the sticker rendered into the given view context."""
-        synth = render_candidate_view(
-            self.warehouse_map.get(sticker_id).payloads, view
-        )
-        return detect_and_describe(
-            synth, max_features=VIEW_REFERENCE_FEATURES, threshold=REFERENCE_THRESHOLD
-        )
 
 
 def render_candidate_view(payloads, view: ViewContext) -> GreyImage:
@@ -137,6 +131,17 @@ def render_candidate_view(payloads, view: ViewContext) -> GreyImage:
         acc += view.background + alpha * (sample - view.background)
     out = ndimage.gaussian_filter((acc / len(offsets)).reshape(hh, ww), 0.6)
     return GreyImage.from_float(out)
+
+
+def _view_matches(
+    payloads, view: ViewContext, scene_feats: FeatureSet, max_features: int, max_distance: int
+) -> int | None:
+    """Scene matches of the candidate drawn into the view; None if the drawing has no features."""
+    synth = render_candidate_view(payloads, view)
+    ref = detect_and_describe(synth, max_features=max_features, threshold=REFERENCE_THRESHOLD)
+    if len(ref) == 0:
+        return None
+    return len(match(ref, scene_feats, max_distance))
 
 
 def estimate_blur_direction(roi: GreyImage) -> tuple[float, float]:
@@ -194,12 +199,10 @@ def estimate_view(
     for length in VIEW_BLUR_LENGTHS_PX:
         trial_quad = contract_quad(quad, direction, length / 2.0)
         view = ViewContext(trial_quad, shape, length, direction, background, turns)
-        synth = render_candidate_view(probe_payloads, view)
-        ref = detect_and_describe(synth, max_features=400, threshold=REFERENCE_THRESHOLD)
-        if len(ref) == 0:
-            continue
-        pairs = len(match(ref, scene_feats, DEFAULT_MAX_DISTANCE))
-        if pairs > best_pairs:
+        pairs = _view_matches(
+            probe_payloads, view, scene_feats, PROBE_FEATURES, DEFAULT_MAX_DISTANCE
+        )
+        if pairs is not None and pairs > best_pairs:
             best_pairs, best_view = pairs, view
     return best_view
 
@@ -227,8 +230,9 @@ def identify_sticker(
         if len(scene_feats) == 0:
             scores[sid] = 0
             continue
-        ref = bank.reference(sid, view)
-        scores[sid] = len(match(ref, scene_feats, max_distance)) if len(ref) else 0
+        payloads = bank.warehouse_map.get(sid).payloads
+        pairs = _view_matches(payloads, view, scene_feats, VIEW_REFERENCE_FEATURES, max_distance)
+        scores[sid] = pairs or 0
     best_id = min(scores, key=lambda sid: (-scores[sid], sid))
     best = scores[best_id]
     rivals = [v for sid, v in scores.items() if sid != best_id]

@@ -7,6 +7,7 @@ camera model by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,17 @@ class RenderConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("exposure_reciprocal", "velocity", "heading", "noise_sigma", "illumination"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
         if self.illumination <= 0:
             raise ValueError("illumination gain must be positive")
+        moving = self.velocity > 0 and self.exposure_reciprocal is not None
+        if moving and self.exposure_reciprocal <= 0:
+            raise ValueError("exposure_reciprocal must be positive for motion blur")
 
 
 @dataclass(frozen=True)
@@ -68,17 +76,13 @@ class GroundTruth:
         raise KeyError(sticker_id)
 
 
-_TEXTURE_CACHE: dict[tuple[str, str, str, str], np.ndarray] = {}
-
-
 def sticker_texture(payloads: tuple[str, str, str, str]) -> np.ndarray:
-    """The sticker's uint8 raster, STICKER_TEXTURE_PX square, built once per payload set."""
-    tex = _TEXTURE_CACHE.get(payloads)
-    if tex is None:
-        cells = artwork.sticker_cells_from_payloads(list(payloads))
-        tex = artwork.render_cells(cells, STICKER_TEXTURE_PX, supersample=2).pixels
-        _TEXTURE_CACHE[payloads] = tex
-    return tex
+    """The sticker's uint8 raster, STICKER_TEXTURE_PX square, built on every call.
+
+    A build is cheap next to any image drawn from it, so none is kept to grow with the map.
+    """
+    cells = artwork.sticker_cells_from_payloads(list(payloads))
+    return artwork.render_cells(cells, STICKER_TEXTURE_PX, supersample=2).pixels
 
 
 def _ground_intersections(
@@ -178,41 +182,27 @@ def render(
     pose: Pose,
     cfg: RenderConfig = RenderConfig(),
 ) -> tuple[GreyImage, GroundTruth]:
-    """Render one frame and its ground truth; blur and noise follow the config."""
+    """Render one frame and its ground truth; blur and noise follow the config.
+
+    The shading is averaged over the camera's positions during the exposure; a sharp frame has one.
+    """
     _check_camera(intr, pose)
     if cfg.exposure_reciprocal is not None and cfg.velocity > 0:
-        shade = _blur_stack(warehouse_map, intr, pose, cfg)
+        offsets = np.linspace(0.0, cfg.velocity / cfg.exposure_reciprocal, BLUR_SAMPLES)
     else:
-        shade = _shade(intr, pose, warehouse_map)
-    shade = ndimage.gaussian_filter(shade, OPTICS_SIGMA_PX, mode="nearest")
+        offsets = [0.0]
+    direction = np.array([np.cos(cfg.heading), np.sin(cfg.heading), 0.0])
+    shade = np.zeros((intr.height, intr.width))
+    for off in offsets:
+        shifted = Pose(pose.rotation, pose.translation - pose.rotation @ (direction * off))
+        shade += _shade(intr, shifted, warehouse_map)
+    shade = ndimage.gaussian_filter(shade / len(offsets), OPTICS_SIGMA_PX, mode="nearest")
     shade = shade * cfg.illumination
     if cfg.noise_sigma > 0:
         rng = np.random.default_rng(cfg.seed)
         shade = shade + rng.normal(0.0, cfg.noise_sigma, size=shade.shape)
     img = GreyImage.from_float(shade)
     return img, _visible_truth(intr, pose, warehouse_map)
-
-
-def _blur_stack(
-    warehouse_map: WarehouseMap, intr: CameraIntrinsics, pose: Pose, cfg: RenderConfig
-) -> np.ndarray:
-    if cfg.exposure_reciprocal is None or cfg.exposure_reciprocal <= 0:
-        raise ValueError("exposure_reciprocal must be positive for motion blur")
-    travel = cfg.velocity / cfg.exposure_reciprocal
-    direction = np.array([np.cos(cfg.heading), np.sin(cfg.heading), 0.0])
-    offsets = np.linspace(0.0, travel, BLUR_SAMPLES)
-    acc = np.zeros((intr.height, intr.width))
-    for off in offsets:
-        shifted = Pose(pose.rotation, pose.translation - pose.rotation @ (direction * off))
-        acc += _shade(intr, shifted, warehouse_map)
-    return acc / len(offsets)
-
-
-def blur_length_px(intr: CameraIntrinsics, distance_m: float, velocity: float,
-                   exposure_reciprocal: float) -> float:
-    """Projected blur streak length in pixels at a given scene distance."""
-    travel = velocity / exposure_reciprocal
-    return travel * intr.f / (distance_m * intr.pixel_pitch)
 
 
 def exposure_for_blur_px(intr: CameraIntrinsics, distance_m: float, velocity: float,

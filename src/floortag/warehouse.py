@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,11 @@ class StickerSpec:
     world_x: float
     world_y: float
     yaw: float = 0.0
-    payloads: tuple[str, str, str, str] = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.payloads is None:
-            object.__setattr__(self, "payloads", artwork.sticker_payloads(self.id))
+    @property
+    def payloads(self) -> tuple[str, str, str, str]:
+        """The texts of the sticker's four symbols, which its id determines."""
+        return artwork.sticker_payloads(self.id)
 
     def corners_world(self) -> np.ndarray:
         return artwork.corners_world(self.world_x, self.world_y, self.yaw)
@@ -40,17 +40,12 @@ class WarehouseMap:
 
     def __init__(self, stickers):
         by_id: dict[int, StickerSpec] = {}
-        by_payload: dict[str, int] = {}
         for s in stickers:
             if s.id in by_id:
                 raise MapFormatError(f"duplicate sticker id {s.id}")
             by_id[s.id] = s
-            for p in s.payloads:
-                if p in by_payload:
-                    raise MapFormatError(f"payload {p!r} assigned to two stickers")
-                by_payload[p] = s.id
         self._by_id = dict(sorted(by_id.items()))
-        self._by_payload = by_payload
+        self._by_payload = {p: s.id for s in self._by_id.values() for p in s.payloads}
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -126,8 +121,8 @@ def generate_grid_map(rows: int, cols: int, pitch_m: float) -> WarehouseMap:
     """Regular rows x cols grid at the given pitch; ids start at 1."""
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be positive")
-    if pitch_m <= 0:
-        raise ValueError("pitch must be positive")
+    if not math.isfinite(pitch_m) or pitch_m <= 0:
+        raise ValueError(f"pitch must be positive and finite, got {pitch_m!r}")
     if pitch_m > 2.0:
         warnings.warn(
             f"pitch {pitch_m} m exceeds the 2 m sticker spacing the system is designed for",

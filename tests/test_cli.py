@@ -139,6 +139,19 @@ def test_localize_stream_rejects_fps_that_is_not_finite_and_positive(tmp_path, c
     assert err == f"error: fps must be finite and positive, got {float(fps)}\n"
 
 
+@pytest.mark.parametrize("pose", ["nan,0,1,0,0,0", "0,0,1,0,inf,0"])
+def test_render_rejects_a_pose_that_is_not_finite(tmp_path, capsys, pose):
+    map_path = tmp_path / "map.csv"
+    run(capsys, ["gen-map", "--rows", "1", "--cols", "1", "--pitch", "1.0", "--out", str(map_path)])
+    frame = tmp_path / "frame.pgm"
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--map", str(map_path), "--pose", pose, "--out", str(frame),
+              "--binning", "4"])
+    assert exc.value.code == 2
+    assert "pose values must be finite" in capsys.readouterr().err
+    assert not frame.exists()
+
+
 def test_bench_deterministic(tmp_path, capsys):
     argv = ["bench", "--trials", "2", "--seed", "7", "--rows", "1", "--cols", "1",
             "--pitch", "1.0", "--binning", "2"]

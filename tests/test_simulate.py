@@ -8,7 +8,6 @@ from floortag.simulate import (
     RenderConfig,
     RenderGeometryError,
     TruthFormatError,
-    blur_length_px,
     exposure_for_blur_px,
     load_truth,
     render,
@@ -117,9 +116,26 @@ def test_motion_blur_smears_edges():
     assert grad_energy(blurred) < 0.6 * grad_energy(sharp)
 
 
-def test_blur_length_round_trip():
-    n = exposure_for_blur_px(INTR, 1.3, 0.8, 10.0)
-    assert blur_length_px(INTR, 1.3, 0.8, n) == pytest.approx(10.0)
+@pytest.mark.parametrize("n", [0.0, -500.0])
+def test_moving_camera_needs_a_positive_exposure_reciprocal(monkeypatch, n):
+    def shade(*args):
+        raise AssertionError("a frame was shaded")
+
+    monkeypatch.setattr(simulate, "_shade", shade)
+    with pytest.raises(ValueError, match="exposure_reciprocal must be positive"):
+        render(
+            single_sticker_map(), INTR, downward_camera_pose((0.0, 0.0, 1.0)),
+            RenderConfig(exposure_reciprocal=n, velocity=1.0),
+        )
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "name", ["exposure_reciprocal", "velocity", "heading", "noise_sigma", "illumination"]
+)
+def test_render_config_rejects_a_field_that_is_not_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RenderConfig(**{name: value})
 
 
 def test_truth_sidecar_round_trip(tmp_path):

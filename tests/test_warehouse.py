@@ -112,6 +112,12 @@ def test_generate_grid_rejects_zero():
         generate_grid_map(0, 3, 1.0)
 
 
+@pytest.mark.parametrize("pitch", [float("nan"), float("inf")])
+def test_generate_grid_rejects_a_pitch_that_is_not_finite(pitch):
+    with pytest.raises(ValueError, match="pitch must be positive and finite"):
+        generate_grid_map(2, 2, pitch)
+
+
 def test_lookup_by_payload():
     m = generate_grid_map(3, 3, 1.0)
     s = lookup_by_payload(m, "000702")
