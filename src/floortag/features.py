@@ -21,29 +21,29 @@ Detection costs what is textured, not what is in the frame:
   step = floor(threshold) clipped to 255, "both brighter" is
   min(max(N, S), max(E, W)) > C + step, which saturating uint8 arithmetic
   states exactly as max(A, step) - step > C; "both darker" is
-  min(B, 255 - step) + step < C. Whole rows are tested, so the flat shifts
-  wrap around the ends of a row; the 3 columns at each end are dropped
-  after the test.
+  min(B, 255 - step) + step < C. The bounds step and 255 - step are arrays,
+  not scalars: numpy's uint8 maximum and minimum against a scalar run a loop
+  about ten times slower. Whole rows are tested, so the flat shifts wrap
+  around the ends of a row; the 3 columns at each end are dropped after the
+  test.
 - The ring is one flat gather at idx + dy * w + dx, and its 16 tests are
   packed into a 16-bit mask per pixel. Non-maximal suppression finds each
   corner's 8 neighbours by binary search in the sorted flat indices of the
   corners, so no frame-sized score grid is made.
-- The Harris response and the smoothed image for the descriptors are
-  computed from the uint8 pixels only on the rows they feed: Harris at the
-  keypoint rows, the smoothing on the rows within reach of the rotated
-  tests. No float copy of the frame is made. scipy's box filter runs two
-  passes, each keeping a running sum along its lines and dividing it at
-  every output. Its first pass runs down the columns over integers (pixels
-  and products of Sobel responses), so it equals the exact integer sum over
-  the window divided by the window size, which is what is computed here,
-  and only at the rows needed. Its second pass runs along the rows over
-  rounded values, where the result depends on the column the line starts
-  from, so it is scipy's own pass over full rows. The results therefore
-  equal the full-frame values bit for bit, and with them the order of tied
-  Harris responses.
+- Harris and the descriptor tests use exact integer sums, read only near
+  the keypoints, and no float copy of the frame is made. Harris sums the
+  Sobel products over a 7x7 window of each corner's own 9x9 patch and
+  ranks by 25 det - trace^2 (k = 1/25) in int64. The tests compare int16
+  5x5 sums, formed on the bands of rows within reach of the rotated tests,
+  cut to the columns the tests reach. As in ORB, the sums are not divided:
+  comparing sums is comparing means.
 
-Keypoints and descriptors equal those of the plain full-frame computation,
-which the tests keep as their reference.
+Exact sums make a descriptor depend only on the pixels around its keypoint,
+not on where the keypoint lies in the frame: a shifted frame gives shifted
+keypoints with the same bits. Equal Harris responses are exact ties, and
+keep the corners' row-major order. The tests keep the plain full-frame
+computation on integer sums as the reference, and detection equals it bit
+for bit.
 
 Keypoints travel as columns, not objects. A `FeatureSet` holds `positions`,
 an (n, 2) float64 array of (x, y) pixels, and `descriptors`, the matching
@@ -64,7 +64,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .imaging import GreyImage
 
@@ -174,8 +173,10 @@ def _pretest(flat: np.ndarray, h: int, w: int, step: int) -> np.ndarray:
     for 0 <= step <= 255. Columns near the ends of a row are tested too, on
     shifts that wrap into the next row; the caller drops them.
     """
-    up, down = np.uint8(step), np.uint8(255 - step)
     size = min(_PRETEST_CHUNK, max(0, (h - 6) * w))
+    # The bounds are arrays: numpy's uint8 maximum and minimum against a
+    # scalar take a loop ~10x slower than against an array.
+    up, down = np.full(size, step, dtype=np.uint8), np.full(size, 255 - step, dtype=np.uint8)
     a, b = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8)
     bright, dark = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     found = [np.empty(0, dtype=np.int64)]
@@ -186,17 +187,18 @@ def _pretest(flat: np.ndarray, h: int, w: int, step: int) -> np.ndarray:
         north, south = flat[lo - 3 * w : hi - 3 * w], flat[lo + 3 * w : hi + 3 * w]
         east, west = flat[lo + 3 : hi + 3], flat[lo - 3 : hi - 3]
         ca, cb, cbright, cdark = a[:n], b[:n], bright[:n], dark[:n]
+        cup, cdown = up[:n], down[:n]
         np.maximum(north, south, out=ca)
         np.maximum(east, west, out=cb)
         np.minimum(ca, cb, out=ca)
-        np.maximum(ca, up, out=ca)
-        np.subtract(ca, up, out=ca)
+        np.maximum(ca, cup, out=ca)
+        np.subtract(ca, cup, out=ca)
         np.greater(ca, centre, out=cbright)
         np.minimum(north, south, out=ca)
         np.minimum(east, west, out=cb)
         np.maximum(ca, cb, out=ca)
-        np.minimum(ca, down, out=ca)
-        np.add(ca, up, out=ca)
+        np.minimum(ca, cdown, out=ca)
+        np.add(ca, cup, out=ca)
         np.less(ca, centre, out=cdark)
         np.logical_or(cbright, cdark, out=cbright)
         found.append(np.flatnonzero(cbright) + lo)
@@ -248,92 +250,72 @@ def _fast_candidates(pixels: np.ndarray, threshold: float):
     return np.column_stack([xs[keep], ys[keep]]), score[keep]
 
 
-def _row_bands(ys: np.ndarray, reach: int, height: int) -> list[tuple[int, int]]:
+def _row_bands(ys: np.ndarray, reach: int) -> list[tuple[int, int]]:
     """Merged [start, stop) row ranges that cover every row in ys +- reach."""
     rows = np.unique(ys)
-    starts = np.maximum(rows - reach, 0)
-    stops = np.minimum(rows + reach + 1, height)
+    starts, stops = rows - reach, rows + reach + 1
     breaks = np.nonzero(starts[1:] > stops[:-1])[0] + 1
     return list(zip(starts[np.r_[0, breaks]].tolist(), stops[np.r_[breaks - 1, -1]].tolist()))
 
 
-# Keypoints lie at least MARGIN rows inside the image, and the filters below
-# read at most 15 rows from a keypoint, so no band reaches the top or bottom
-# row and the column passes need no edge rows. Columns do reach the edges.
+# Keypoints lie at least MARGIN = 16 px inside the image, and the sums below
+# read at most 15 px from a keypoint, so no edge handling is needed.
+
+# The 9x9 patch that a 7x7 window of Sobel gradients reads, as (dy, dx).
+_HARRIS_DY, _HARRIS_DX = np.mgrid[-4:5, -4:5]
 
 
 def _harris_at(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Harris response of the uint8 pixels at (xs, ys), read on the rows around them.
+    """25 times the Harris response (k = 1/25) of the uint8 pixels at (xs, ys).
 
-    Sobel gradients (edge columns as mode="nearest") and their products are
-    integers, so the 7-row column sums of the box filter are exact. Those are
-    formed on the bands of rows around the keypoints and kept at the keypoint
-    rows; the row pass runs on full rows.
+    Sobel gradients, their products and the products' 7x7 sums are integers,
+    read from each point's own 9x9 patch, so 25 det - trace^2 of the summed
+    structure tensor is exact in int64: |gx|, |gy| <= 1020, so each sum is
+    below 49 * 1020^2 < 2^26 and 25 det below 2^57.
     """
-    h, w = pixels.shape
-    rows = np.unique(ys)
-    sums = np.empty((3, len(rows), w), dtype=np.int32)
-    done = 0
-    # Sobel reads 1 row on each side and the 7-row window 3 more.
-    for start, stop in _row_bands(rows, 4, h):
-        p = pixels[start:stop].astype(np.int16)
-        dx = np.empty_like(p)
-        dx[:, 1:-1] = p[:, 2:] - p[:, :-2]
-        dx[:, 0] = p[:, 1] - p[:, 0]
-        dx[:, -1] = p[:, -1] - p[:, -2]
-        gx = dx[:-2] + 2 * dx[1:-1] + dx[2:]
-        dy = p[2:] - p[:-2]
-        gy = np.empty_like(dy)
-        gy[:, 1:-1] = dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]
-        gy[:, 0] = 3 * dy[:, 0] + dy[:, 1]
-        gy[:, -1] = dy[:, -2] + 3 * dy[:, -1]
-        # Row i of the products is image row start + 1 + i; |gx|, |gy| <= 1020.
-        prods = np.empty((3,) + gx.shape, dtype=np.int32)
-        np.multiply(gx, gx, dtype=np.int32, out=prods[0])
-        np.multiply(gy, gy, dtype=np.int32, out=prods[1])
-        np.multiply(gx, gy, dtype=np.int32, out=prods[2])
-        # Row i of the window sums is centred on product row i + 3.
-        win = prods[:, :-6].copy()
-        for k in range(1, 7):
-            win += prods[:, k : len(gx) - 6 + k]
-        n = int(np.searchsorted(rows, stop)) - done
-        sums[:, done : done + n] = win[:, rows[done : done + n] - (start + 4)]
-        done += n
-    # scipy's box filter divides its running sum at each output, so on these
-    # integers its column pass equals the exact sum / 7. Its row pass rounds
-    # in an order set by the column a line starts from, hence full rows.
-    boxed = ndimage.uniform_filter1d(sums / 7.0, 7, axis=-1, mode="nearest")
-    ixx, iyy, ixy = boxed[:, np.searchsorted(rows, ys), xs]
-    det = ixx * iyy - ixy * ixy
+    w = pixels.shape[1]
+    p = pixels.ravel()[(ys * w + xs)[:, None, None] + (_HARRIS_DY * w + _HARRIS_DX)]
+    p = p.astype(np.int16)
+    dx = p[:, :, 2:] - p[:, :, :-2]
+    gx = (dx[:, :-2] + 2 * dx[:, 1:-1] + dx[:, 2:]).reshape(len(p), 49)
+    dy = p[:, 2:] - p[:, :-2]
+    gy = (dy[:, :, :-2] + 2 * dy[:, :, 1:-1] + dy[:, :, 2:]).reshape(len(p), 49)
+    ixx = np.multiply(gx, gx, dtype=np.int32).sum(axis=1, dtype=np.int64)
+    iyy = np.multiply(gy, gy, dtype=np.int32).sum(axis=1, dtype=np.int64)
+    ixy = np.multiply(gx, gy, dtype=np.int32).sum(axis=1, dtype=np.int64)
     trace = ixx + iyy
-    return det - 0.04 * trace * trace
+    return 25 * (ixx * iyy - ixy * ixy) - trace * trace
 
 
-def _smoothed_rows(pixels: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 5x5 box-filtered image on the rows within 13 of ys, as a compact row store.
+def _box_sums(pixels: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """int16 5x5 sums of the uint8 pixels at every point within 13 px of a keypoint.
 
-    Returns the store and each keypoint's row in it. Every row a keypoint's
-    tests read lies in the same band as the keypoint, and a band's rows are
-    consecutive in the store, so its tests read the store at the same offsets.
+    Returns a compact store and each keypoint's (x, y) in it. The rows within
+    13 of a keypoint are merged into bands; each band is cut to the columns
+    its keypoints' tests reach and stored from column 0, below the bands
+    before it. Every point a keypoint's tests read lies in its band, at the
+    same offsets from the keypoint as in the frame.
     """
-    h, w = pixels.shape
-    # Rotated tests reach 13 rows from a keypoint; the 5x5 box reads 2 more.
-    bands = _row_bands(ys, 15, h)
-    sizes = [stop - start - 4 for start, stop in bands]
-    store = np.empty((sum(sizes), w))
-    shifts = np.empty(len(bands), dtype=np.int64)
-    offset = 0
-    for i, ((start, stop), size) in enumerate(zip(bands, sizes)):
-        p = pixels[start:stop].astype(np.int16)
-        col = p[:-4] + p[1:-3] + p[2:-2] + p[3:-1] + p[4:]
-        # As in _harris_at: the exact column sum / 5, then scipy's row pass.
-        ndimage.uniform_filter1d(
-            col / 5.0, 5, axis=-1, mode="nearest", output=store[offset : offset + size]
-        )
-        shifts[i] = offset - (start + 2)
-        offset += size
+    bands = _row_bands(ys, 13)
     starts = np.array([start for start, _ in bands])
-    return store, ys + shifts[np.searchsorted(starts, ys, side="right") - 1]
+    band = np.searchsorted(starts, ys, side="right") - 1
+    lefts = np.full(len(bands), pixels.shape[1])
+    rights = np.zeros(len(bands), dtype=np.int64)
+    np.minimum.at(lefts, band, xs - 13)
+    np.maximum.at(rights, band, xs + 14)
+    heights = [stop - start for start, stop in bands]
+    store = np.empty((sum(heights), int((rights - lefts).max())), dtype=np.int16)
+    tops = np.cumsum([0] + heights[:-1])
+    for (start, stop), left, right, top in zip(bands, lefts.tolist(), rights.tolist(), tops):
+        # Sums of at most 25 * 255 fit int16.
+        p = pixels[start - 2 : stop + 2, left - 2 : right + 2].astype(np.int16)
+        col = p[:-4] + p[1:-3] + p[2:-2] + p[3:-1] + p[4:]
+        out = store[top : top + stop - start, : right - left]
+        np.add(col[:, :-4], col[:, 1:-3], out=out)
+        out += col[:, 2:-2]
+        out += col[:, 3:-1]
+        out += col[:, 4:]
+    return store, xs - lefts[band], ys - starts[band] + tops[band]
 
 
 def _orientations(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -352,17 +334,17 @@ _PATTERN_Y = np.ascontiguousarray(_PATTERN[:, 1::2].T)[:, None, :]
 _DESCRIBE_CHUNK = 32
 
 
-def _describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
-    """Packed tests smooth[first point] < smooth[second point], rotated to each angle.
+def _describe(sums: np.ndarray, xs, ys, angles) -> np.ndarray:
+    """Packed tests sums[first point] < sums[second point], rotated to each angle.
 
     A test point (x, y) lands at (rint(c x - s y), rint(s x + c y)) from the
     keypoint. Both points of every test are rotated together, _DESCRIBE_CHUNK
     keypoints at a time through three reused float64 buffers, and their flat
-    indices into smooth are formed in float64, where these integers are
+    indices into sums are formed in float64, where these integers are
     exact, then cast once.
     """
-    n, w = len(angles), smooth.shape[1]
-    flat = smooth.ravel()
+    n, w = len(angles), sums.shape[1]
+    flat = sums.ravel()
     cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
     base = (ys * w + xs).astype(np.float64)[:, None]
     shape = (2, min(_DESCRIBE_CHUNK, n), DESCRIPTOR_BITS)
@@ -425,14 +407,14 @@ def detect_and_describe(
     # is shared: a unique score alone fixes its place in the final stable sort.
     _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
     need = (counts[inverse] > 1) | (len(pts) > max_features)
-    harris = np.zeros(len(pts))
+    harris = np.zeros(len(pts), dtype=np.int64)
     if need.any():
         harris[need] = _harris_at(img.pixels, xs[need], ys[need])
     order = np.argsort(-harris, kind="stable")[:max_features]
     xs, ys, scores = xs[order], ys[order], scores[order]
     angles = _orientations(img.pixels, xs, ys)
-    smooth, rows = _smoothed_rows(img.pixels, ys)
-    descriptors = _describe(smooth, xs, rows, angles)
+    sums, cols, rows = _box_sums(img.pixels, xs, ys)
+    descriptors = _describe(sums, cols, rows, angles)
     order = np.argsort(-scores, kind="stable")
     return FeatureSet(np.column_stack([xs, ys])[order], descriptors[order])
 

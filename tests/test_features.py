@@ -46,8 +46,8 @@ def described(descriptors: np.ndarray) -> FeatureSet:
     return FeatureSet(np.zeros((len(descriptors), 2)), descriptors)
 
 
-# Reference detector: the plain full-frame computation. detect_and_describe
-# must reproduce its keypoints and descriptors bit for bit.
+# Reference detector: the plain full-frame computation, on exact integer sums.
+# detect_and_describe must reproduce its keypoints and descriptors bit for bit.
 def oracle_fast_candidates(px: np.ndarray, threshold: float):
     h, w = px.shape
     core = px[3 : h - 3, 3 : w - 3]
@@ -97,16 +97,23 @@ def test_ring_masks_set_bit_i_for_ring_pixel_i():
     assert np.array_equal(features._ring_masks(passed), want)
 
 
+def oracle_box_sums(px: np.ndarray, size: int) -> np.ndarray:
+    """Exact integer size x size sums over the whole frame."""
+    ones = np.ones((size, size), dtype=np.int64)
+    return ndimage.correlate(px.astype(np.int64), ones, mode="nearest")
+
+
 def oracle_harris_response(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    gx = ndimage.sobel(px, axis=1, mode="nearest")
-    gy = ndimage.sobel(px, axis=0, mode="nearest")
-    win = 7
-    ixx = ndimage.uniform_filter(gx * gx, win, mode="nearest")
-    iyy = ndimage.uniform_filter(gy * gy, win, mode="nearest")
-    ixy = ndimage.uniform_filter(gx * gy, win, mode="nearest")
+    """25 times the Harris response (k = 1/25) of the 7x7 sums of Sobel products."""
+    p = px.astype(np.int32)
+    gx = ndimage.sobel(p, axis=1, mode="nearest").astype(np.int64)
+    gy = ndimage.sobel(p, axis=0, mode="nearest").astype(np.int64)
+    ixx = oracle_box_sums(gx * gx, 7)
+    iyy = oracle_box_sums(gy * gy, 7)
+    ixy = oracle_box_sums(gx * gy, 7)
     det = ixx * iyy - ixy * ixy
     trace = ixx + iyy
-    response = det - 0.04 * trace * trace
+    response = 25 * det - trace * trace
     return response[ys, xs]
 
 
@@ -122,10 +129,10 @@ def oracle_candidates(img: GreyImage, threshold: float):
         & (pts[:, 1] < h - MARGIN)
     )
     pts, scores = pts[inside], scores[inside]
-    return pts, scores, oracle_harris_response(px, pts[:, 0], pts[:, 1])
+    return pts, scores, oracle_harris_response(img.pixels, pts[:, 0], pts[:, 1])
 
 
-def oracle_describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
+def oracle_describe(sums: np.ndarray, xs, ys, angles) -> np.ndarray:
     """Test bits from four rotated coordinate arrays, each cast to integers on its own."""
     c = np.cos(angles)[:, None]
     s = np.sin(angles)[:, None]
@@ -134,8 +141,8 @@ def oracle_describe(smooth: np.ndarray, xs, ys, angles) -> np.ndarray:
     ay = np.rint(s * x1 + c * y1).astype(np.int64) + ys[:, None]
     bx = np.rint(c * x2 - s * y2).astype(np.int64) + xs[:, None]
     by = np.rint(s * x2 + c * y2).astype(np.int64) + ys[:, None]
-    w = smooth.shape[1]
-    flat = smooth.ravel()
+    w = sums.shape[1]
+    flat = sums.ravel()
     bits = flat[ay * w + ax] < flat[by * w + bx]
     return np.packbits(bits, axis=1)
 
@@ -144,12 +151,10 @@ def oracle_detect(img: GreyImage, max_features: int, threshold: float) -> Featur
     pts, scores, harris = oracle_candidates(img, threshold)
     if len(pts) == 0:
         return FeatureSet(np.empty((0, 2)), np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
-    px = img.to_float()
     order = np.argsort(-harris, kind="stable")[:max_features]
     xs, ys, scores = pts[order, 0], pts[order, 1], scores[order]
-    angles = features._orientations(px, xs, ys)
-    smooth = ndimage.uniform_filter(px, 5, mode="nearest")
-    descriptors = oracle_describe(smooth, xs, ys, angles)
+    angles = features._orientations(img.to_float(), xs, ys)
+    descriptors = oracle_describe(oracle_box_sums(img.pixels, 5), xs, ys, angles)
     order = np.argsort(-scores, kind="stable")
     return FeatureSet(np.column_stack([xs, ys])[order], descriptors[order])
 
@@ -163,17 +168,18 @@ def assert_matches_oracle(img: GreyImage, max_features: int, threshold: float) -
 
 
 def assert_row_kernels_match_oracle(img: GreyImage, threshold: float) -> None:
-    """Harris at every candidate, and every smoothed row a test reads, equal the full frame's."""
+    """Harris at every candidate, and every box sum a test can read, equal the full frame's."""
     pts, _, want_harris = oracle_candidates(img, threshold)
     if len(pts) == 0:
         return
     xs, ys = pts[:, 0], pts[:, 1]
     assert np.array_equal(features._harris_at(img.pixels, xs, ys), want_harris)
-    full = ndimage.uniform_filter(img.to_float(), 5, mode="nearest")
-    store, rows = features._smoothed_rows(img.pixels, ys)
-    reach = np.arange(-13, 14)
-    for y, row in set(zip(ys.tolist(), rows.tolist())):
-        assert np.array_equal(store[row + reach], full[y + reach])
+    full = oracle_box_sums(img.pixels, 5)
+    store, cols, rows = features._box_sums(img.pixels, xs, ys)
+    assert store.dtype == np.int16
+    for x, y, col, row in zip(xs.tolist(), ys.tolist(), cols.tolist(), rows.tolist()):
+        got = store[row - 13 : row + 14, col - 13 : col + 14]
+        assert np.array_equal(got, full[y - 13 : y + 14, x - 13 : x + 14])
 
 
 @pytest.fixture(scope="module")
@@ -240,15 +246,15 @@ def test_reference_bank_detection_matches_oracle():
 
 @pytest.mark.parametrize("kind", ["sharp", "smeared"])
 def test_frame_descriptors_match_oracle(scene_renders, kind):
-    # _describe on what detection hands it: the keypoint rows of the row store.
+    # _describe on what detection hands it: the keypoints' places in the box-sum store.
     img = scene_renders[kind]
     pts = oracle_candidates(img, 8.0)[0]
     xs, ys = pts[:, 0], pts[:, 1]
     angles = features._orientations(img.pixels, xs, ys)
-    store, rows = features._smoothed_rows(img.pixels, ys)
-    got = features._describe(store, xs, rows, angles)
+    store, cols, rows = features._box_sums(img.pixels, xs, ys)
+    got = features._describe(store, cols, rows, angles)
     assert len(got) > 50
-    assert np.array_equal(got, oracle_describe(store, xs, rows, angles))
+    assert np.array_equal(got, oracle_describe(store, cols, rows, angles))
 
 
 # Multiples of pi/4, where cos and sin are 0, +-1 or +-sqrt(1/2) up to rounding.
@@ -263,14 +269,14 @@ _QUARTER_ANGLES = (np.arange(8) * np.pi / 4).tolist()
 )
 def test_descriptors_at_random_angles_match_oracle(angles, seed):
     # Up to 40 keypoints: none, one or two _describe chunks. Rotated tests
-    # reach 13 px from a keypoint; levels in fifths tie often.
+    # reach 13 px from a keypoint; 1280 levels of box sums tie often.
     rng = np.random.default_rng(seed)
-    smooth = rng.integers(0, 256 * 5, size=(40, 60)) / 5.0
+    sums = rng.integers(0, 256 * 5, size=(40, 60)).astype(np.int16)
     xs = rng.integers(13, 47, len(angles))
     ys = rng.integers(13, 27, len(angles))
-    got = features._describe(smooth, xs, ys, angles)
+    got = features._describe(sums, xs, ys, angles)
     assert got.shape == (len(angles), DESCRIPTOR_BYTES)
-    assert np.array_equal(got, oracle_describe(smooth, xs, ys, angles))
+    assert np.array_equal(got, oracle_describe(sums, xs, ys, angles))
 
 
 def test_blank_frame_matches_oracle():
@@ -435,6 +441,48 @@ def test_detection_makes_no_float_copy_of_the_frame(scene_renders, monkeypatch):
     assert len(got) > 50
     assert np.array_equal(got.positions, want.positions)
     assert np.array_equal(got.descriptors, want.descriptors)
+
+
+def test_detection_runs_no_scipy_filter(scene_renders, monkeypatch):
+    img = scene_renders["sharp"]
+    want = oracle_detect(img, 1000, 20.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("detection ran a scipy filter")
+
+    for name in ("uniform_filter1d", "uniform_filter", "correlate1d", "correlate", "sobel"):
+        monkeypatch.setattr(ndimage, name, refuse)
+    got = detect_and_describe(img, max_features=1000, threshold=20.0)
+    assert len(got) > 50
+    assert np.array_equal(got.positions, want.positions)
+    assert np.array_equal(got.descriptors, want.descriptors)
+
+
+def shifted_right(img: GreyImage, k: int) -> GreyImage:
+    """img moved k px to the right, its left column repeated into the gap."""
+    px = img.pixels
+    return GreyImage(np.concatenate([np.repeat(px[:, :1], k, axis=1), px[:, :-k]], axis=1))
+
+
+@pytest.mark.parametrize("k", [1, 37])
+def test_descriptors_are_translation_invariant(k):
+    # Box sums are exact, so a keypoint's descriptor depends on the pixels
+    # around it and not on its column: a keypoint at (x, y) reappears at
+    # (x + k, y) in the shifted frame with the same bits.
+    wmap = generate_grid_map(3, 3, 1.0)
+    rng = np.random.default_rng(1)
+    for i in range(4):
+        target = wmap.get(wmap.ids[int(rng.integers(0, len(wmap.ids)))])
+        pose = sample_camera_pose(rng, (target.world_x, target.world_y))
+        img, _ = render(wmap, INTR, pose, RenderConfig(seed=100 + i))
+        a = detect_and_describe(img, max_features=2500, threshold=8.0)
+        b = detect_and_describe(shifted_right(img, k), max_features=2500, threshold=8.0)
+        where = {p: j for j, p in enumerate(map(tuple, b.positions.tolist()))}
+        pairs = [(j, where[(x + k, y)]) for j, (x, y) in enumerate(a.positions.tolist())
+                 if (x + k, y) in where]
+        assert len(pairs) > 0.9 * len(a) > 100
+        ia, ib = np.array(pairs).T
+        assert np.array_equal(a.descriptors[ia], b.descriptors[ib])
 
 
 @pytest.mark.parametrize("max_features", [0, -3])

@@ -38,6 +38,32 @@ def test_grey_image_validates_shape():
         GreyImage(np.zeros(10, dtype=np.uint8))
 
 
+def test_grey_image_keeps_pixels_holding_bytes():
+    for px in (np.array([[0, 7, 255]], dtype=np.uint8), np.array([[0, 128, 255]]),
+               np.array([[0.0, 128.0, 255.0]]), np.eye(2, dtype=bool)):
+        img = GreyImage(px)
+        assert img.pixels.dtype == np.uint8 and np.array_equal(img.pixels, px)
+
+
+def test_grey_image_rejects_integers_out_of_range():
+    with pytest.raises(ValueError, match="GreyImage.from_float"):
+        GreyImage(np.array([[256, -1, 300]]))
+    with pytest.raises(ValueError, match="GreyImage.from_float"):
+        GreyImage(np.array([[0, -1]], dtype=np.int16))
+
+
+def test_grey_image_rejects_fractional_floats():
+    with pytest.raises(ValueError, match="GreyImage.from_float"):
+        GreyImage(np.array([[255.7, 0.0]]))
+    assert GreyImage.from_float(np.array([[255.7, 0.4]])).pixels.tolist() == [[255, 0]]
+
+
+def test_grey_image_rejects_non_finite_floats():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="GreyImage.from_float"):
+            GreyImage(np.array([[bad, 10.0]]))
+
+
 def test_grey_image_immutable():
     img = GreyImage(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
