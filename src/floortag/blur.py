@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -15,8 +16,9 @@ class BlurParams:
 
     def __post_init__(self):
         for name in ("f", "distance", "velocity", "shutter_reciprocal", "pixel_pitch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def magnification(f: float, distance: float) -> float:
@@ -37,8 +39,8 @@ def min_shutter_reciprocal(
     f: float, distance: float, velocity: float, pixel_pitch: float
 ) -> float:
     """Smallest N keeping the projected motion within one pixel during 1/N seconds."""
-    if min(f, distance, velocity, pixel_pitch) <= 0:
-        raise ValueError("all parameters must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (f, distance, velocity, pixel_pitch)):
+        raise ValueError("all parameters must be finite and positive")
     return f * velocity / (distance * pixel_pitch)
 
 

@@ -163,10 +163,12 @@ def _cmd_identify(args) -> int:
 
 def _cmd_blur_check(args) -> int:
     n_min = blur.min_shutter_reciprocal(args.focal, args.distance, args.velocity, args.pixel_pitch)
-    print(f"min_shutter_reciprocal_hz {n_min:.2f}")
-    print(f"max_exposure_s {1.0 / n_min:.6g}")
+    params = None
     if args.shutter is not None:
         params = blur.BlurParams(args.focal, args.distance, args.velocity, args.shutter, args.pixel_pitch)
+    print(f"min_shutter_reciprocal_hz {n_min:.2f}")
+    print(f"max_exposure_s {1.0 / n_min:.6g}")
+    if params is not None:
         verdict = "sharp" if blur.is_sharp(params) else "blurred"
         print(f"verdict {verdict}")
     return 0

@@ -49,7 +49,7 @@ def default_merge_dist(intr: CameraIntrinsics) -> float:
     return 1.5 * STICKER_SIZE_M * intr.focal_px / TYPICAL_VIEWING_DISTANCE_M
 
 
-def cluster_keypoints(points, merge_dist: float = 200.0) -> list[Cluster]:
+def cluster_keypoints(points, merge_dist: float) -> list[Cluster]:
     """Lloyd iterations from farthest-point seeds, then merge close means.
 
     Merging repeats while any two means sit closer than merge_dist, then

@@ -72,10 +72,6 @@ DESCRIPTOR_BYTES = DESCRIPTOR_BITS // 8
 PATCH_RADIUS = 15
 MARGIN = 16
 
-DETECTED = "detected"
-ABSENT = "absent"
-UNCERTAIN = "uncertain"
-
 # FAST circle of radius 3, clockwise from 12 o'clock: (dy, dx).
 _CIRCLE = np.array(
     [(-3, 0), (-3, 1), (-2, 2), (-1, 3), (0, 3), (1, 3), (2, 2), (3, 1),
@@ -109,9 +105,10 @@ def _disc_offsets(radius: int) -> tuple[np.ndarray, np.ndarray]:
 _DISC_DY, _DISC_DX = _disc_offsets(PATCH_RADIUS)
 
 
-def _test_pattern(seed: int = 20240927, bits: int = DESCRIPTOR_BITS) -> np.ndarray:
-    """Fixed (bits, 4) array of paired test offsets inside a radius-13 disc."""
-    rng = np.random.default_rng(seed)
+def _test_pattern() -> np.ndarray:
+    """Fixed (DESCRIPTOR_BITS, 4) array of paired test offsets inside a radius-13 disc."""
+    bits = DESCRIPTOR_BITS
+    rng = np.random.default_rng(20240927)
     pts = np.empty((2 * bits, 2))
     count = 0
     while count < 2 * bits:
@@ -450,16 +447,6 @@ def match(reference: FeatureSet, scene: FeatureSet, max_distance: int = 64) -> M
     i, j, d = i[mutual], j[mutual], d[mutual]
     order = np.lexsort((i, d))
     return MatchSet(i[order], j[order], d[order])
-
-
-def sticker_present(matches: MatchSet, detect_min: int, absent_max: int) -> str:
-    """Detection decision: detected above detect_min matches, absent below absent_max."""
-    n = len(matches)
-    if n > detect_min:
-        return DETECTED
-    if n < absent_max:
-        return ABSENT
-    return UNCERTAIN
 
 
 def calibrate_thresholds(

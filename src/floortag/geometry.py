@@ -75,6 +75,8 @@ class CameraIntrinsics:
     @classmethod
     def reference_camera(cls, binning: int = 1) -> "CameraIntrinsics":
         """The 5 MP reference camera, optionally binned to a coarser grid."""
+        if binning < 1:
+            raise ValueError(f"binning must be at least 1, got {binning}")
         return cls.from_physical(
             pixel_pitch_m=REFERENCE_PIXEL_PITCH_M * binning,
             width=REFERENCE_SENSOR_W // binning,

@@ -68,13 +68,12 @@ def reference_sizes(intr: CameraIntrinsics) -> tuple[int, ...]:
     )
 
 
-def _multi_size_features(
-    cells: np.ndarray, sizes, features_total: int, threshold: float = REFERENCE_THRESHOLD
-) -> FeatureSet:
+def _multi_size_features(cells: np.ndarray, sizes, features_total: int) -> FeatureSet:
     per_size = max(1, features_total // len(sizes))
     per_raster = [
         detect_and_describe(
-            artwork.render_cells(cells, size), max_features=per_size, threshold=threshold
+            artwork.render_cells(cells, size), max_features=per_size,
+            threshold=REFERENCE_THRESHOLD,
         )
         for size in sizes
     ]

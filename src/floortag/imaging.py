@@ -59,7 +59,7 @@ class GreyImage:
 
     uint8 pixels are copied as they are. Pixels of any other dtype must be
     integers in 0..255, so that the cast to uint8 keeps every value;
-    `from_float` rounds and clips other values first.
+    `from_float` rounds and clips other finite values first.
     """
 
     pixels: np.ndarray
@@ -95,6 +95,8 @@ class GreyImage:
 
     @staticmethod
     def from_float(arr: np.ndarray) -> "GreyImage":
+        if not np.isfinite(arr).all():
+            raise ValueError("pixels must be finite")
         return GreyImage(np.clip(np.rint(arr), 0, 255).astype(np.uint8))
 
 

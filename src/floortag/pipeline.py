@@ -50,30 +50,34 @@ METHOD_DECODED = "decoded"
 METHOD_IDENTIFIED = "identified"
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    detect_features: int = 2500
-    detect_threshold: float = 8.0
-    detect_max_distance: int = 64
+    """The pipeline's calibrated settings; fixed, so the class takes no arguments."""
+
+    detect_features = 2500
+    detect_threshold = 8.0
+    detect_max_distance = 64
     # Detection reference matches: more than detect_min means a sticker is in
-    # view, fewer than absent_max means none is. Calibrated on the synthetic camera.
-    detect_min: int = 35
-    absent_max: int = 15
+    # view, fewer than absent_max means none is. Calibrated on the synthetic
+    # camera; criterion 6 checks the band. process_frame reads only
+    # detect_min: a count inside the band is treated as no sticker.
+    detect_min = 35
+    absent_max = 15
     # Wider than the clustering default so rotated quad corners survive the crop.
-    roi_margin: float = 0.4
+    roi_margin = 0.4
     # Minimum ROI side, as a multiple of the projected sticker size at 1 m.
-    roi_min_size_factor: float = 1.35
-    min_contour_area: float = 400.0
-    candidate_radius_m: float = 3.0
-    state_expiry_s: float = 5.0
-    identify_scene_features: int = 10000
-    identify_threshold: float = identify.REFERENCE_THRESHOLD
-    identify_max_distance: int = identify.DEFAULT_MAX_DISTANCE
-    accept_min: int = identify.DEFAULT_ACCEPT_MIN
-    margin_ratio: float = identify.DEFAULT_MARGIN_RATIO
-    max_reprojection_rms: float = 3.0
+    roi_min_size_factor = 1.35
+    min_contour_area = 400.0
+    candidate_radius_m = 3.0
+    state_expiry_s = 5.0
+    identify_scene_features = 10000
+    identify_threshold = identify.REFERENCE_THRESHOLD
+    # identify_sticker's defaults, named for callers that pass them explicitly.
+    identify_max_distance = identify.DEFAULT_MAX_DISTANCE
+    accept_min = identify.DEFAULT_ACCEPT_MIN
+    margin_ratio = identify.DEFAULT_MARGIN_RATIO
+    max_reprojection_rms = 3.0
     # Planar offset from the camera to the operator's feet on the floor.
-    operator_offset_m: tuple[float, float] = (0.0, 0.0)
+    operator_offset_m = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -185,22 +189,14 @@ def identify_crop(
     """
     if min(crop.width, crop.height) <= 2 * features.MARGIN:
         return None
-    cfg = PipelineConfig()
+    cfg = PipelineConfig
     feats = features.detect_and_describe(
         crop, max_features=cfg.identify_scene_features, threshold=cfg.identify_threshold
     )
     if len(feats) == 0:
         return None
     view = estimate_view(crop, feats, quad, warehouse_map.get(candidates[0]).payloads)
-    return identify.identify_sticker(
-        feats,
-        bank,
-        candidates,
-        view,
-        max_distance=cfg.identify_max_distance,
-        accept_min=cfg.accept_min,
-        margin_ratio=cfg.margin_ratio,
-    )
+    return identify.identify_sticker(feats, bank, candidates, view)
 
 
 def _pose_from_quad(
@@ -236,7 +232,7 @@ def process_frame(
     timestamp: float | None = None,
 ) -> tuple[LocalisationResult, TrackerState]:
     """Run the full localisation chain on one frame and update the tracker state."""
-    cfg = PipelineConfig()
+    cfg = PipelineConfig
     now = time.monotonic() if timestamp is None else timestamp
     clock = _StageClock()
 
@@ -249,9 +245,8 @@ def process_frame(
         clock.lap("match")
         return LocalisationResult(frame_id, OUTCOME_NO_STICKER, timings_ms=clock.timings), state
     matches = features.match(bank.detection, feats, cfg.detect_max_distance)
-    decision = features.sticker_present(matches, cfg.detect_min, cfg.absent_max)
     clock.lap("match")
-    if decision != features.DETECTED:
+    if len(matches) <= cfg.detect_min:
         return LocalisationResult(frame_id, OUTCOME_NO_STICKER, timings_ms=clock.timings), state
 
     points = feats.positions[matches.scene_indices()]

@@ -36,6 +36,25 @@ def test_blur_check_verdicts(capsys):
     assert "verdict blurred" in out
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--focal", "nan", "--distance", "1"], "error: all parameters must be finite and positive\n"),
+    (["--focal", "3.6e-3", "--distance", "inf"],
+     "error: all parameters must be finite and positive\n"),
+    (["--focal", "3.6e-3", "--distance", "1", "--shutter", "nan"],
+     "error: shutter_reciprocal must be finite and positive, got nan\n"),
+], ids=["focal-nan", "distance-inf", "shutter-nan"])
+def test_blur_check_rejects_values_that_are_not_finite(capsys, argv, err):
+    code, out, got = run(capsys, [
+        "blur-check", "--velocity", "1", "--pixel-pitch", "1.4e-6", *argv,
+    ])
+    assert (code, out, got) == (1, "", err)
+
+
+def test_binning_below_one_is_an_error(capsys):
+    code, out, err = run(capsys, ["bench", "--trials", "1", "--binning", "0"])
+    assert (code, out, err) == (1, "", "error: binning must be at least 1, got 0\n")
+
+
 def test_gen_map_stdout(capsys):
     code, out, _ = run(capsys, ["gen-map", "--rows", "2", "--cols", "3", "--pitch", "1.5"])
     assert code == 0

@@ -143,7 +143,7 @@ def test_a_stray_match_does_not_stretch_the_benchmark_roi(monkeypatch):
 
 def test_requires_points():
     with pytest.raises(ValueError):
-        cluster_keypoints(np.empty((0, 2)))
+        cluster_keypoints(np.empty((0, 2)), merge_dist=200)
 
 
 def test_select_primary_by_count():

@@ -11,18 +11,13 @@ from floortag import artwork, features
 from floortag.artwork import render_sticker
 from floortag.bench import sample_camera_pose
 from floortag.features import (
-    ABSENT,
     DESCRIPTOR_BITS,
     DESCRIPTOR_BYTES,
-    DETECTED,
     MARGIN,
-    UNCERTAIN,
     FeatureSet,
-    MatchSet,
     calibrate_thresholds,
     detect_and_describe,
     match,
-    sticker_present,
 )
 from floortag.geometry import CameraIntrinsics, camera_world_position
 from floortag.identify import (
@@ -643,17 +638,6 @@ def test_scene_superset_rarely_loses_matches():
         if m2 < m1:
             losses += 1
     assert losses <= trials * 0.05 + 1
-
-
-def test_sticker_present_thresholds():
-    def fake(n):
-        return MatchSet(np.arange(n), np.arange(n), np.zeros(n, dtype=np.uint16))
-
-    assert sticker_present(fake(51), 50, 15) == DETECTED
-    assert sticker_present(fake(50), 50, 15) == UNCERTAIN
-    assert sticker_present(fake(15), 50, 15) == UNCERTAIN
-    assert sticker_present(fake(14), 50, 15) == ABSENT
-    assert sticker_present(fake(30), 50, 15) == UNCERTAIN
 
 
 def test_calibrate_thresholds():

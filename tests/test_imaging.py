@@ -64,6 +64,13 @@ def test_grey_image_rejects_non_finite_floats():
             GreyImage(np.array([[bad, 10.0]]))
 
 
+def test_from_float_rejects_non_finite_values():
+    with pytest.raises(ValueError, match="finite"):
+        GreyImage.from_float(np.array([[np.nan, 300.0, -np.inf]]))
+    with pytest.raises(ValueError, match="finite"):
+        GreyImage.from_float(np.array([[10.0, np.inf]]))
+
+
 def test_grey_image_immutable():
     img = GreyImage(np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import pytest
 from floortag.bench import sample_camera_pose
 from floortag.geometry import CameraIntrinsics, camera_world_position, downward_camera_pose
 from floortag import pipeline
+from floortag.features import MatchSet
 from floortag.identify import ReferenceBank
 from floortag.imaging import GreyImage, NotAQuadError
 from floortag.pipeline import (
@@ -11,6 +12,7 @@ from floortag.pipeline import (
     OUTCOME_ERROR,
     OUTCOME_LOCALISED,
     OUTCOME_NO_STICKER,
+    PipelineConfig,
     TrackerState,
     process_frame,
     process_sequence,
@@ -43,6 +45,27 @@ def test_blank_frame_no_sticker(wmap, bank):
     assert result.outcome == OUTCOME_NO_STICKER
     assert result.position is None and result.pose is None
     assert new_state == state
+
+
+@pytest.mark.parametrize("count", [PipelineConfig.absent_max, PipelineConfig.detect_min])
+def test_match_count_inside_the_calibrated_band_is_no_sticker(wmap, bank, monkeypatch, count):
+    # A rendered sticker whose detection matches are cut to the band between
+    # absent_max and detect_min: the frame stops after matching.
+    target = wmap.get(5)
+    pose = downward_camera_pose((target.world_x, target.world_y, 1.0), spin=0.4)
+    img, _ = render(wmap, INTR, pose, RenderConfig(seed=34))
+    real_match = pipeline.features.match
+
+    def band_match(reference, scene, max_distance):
+        m = real_match(reference, scene, max_distance)
+        assert len(m) > count
+        return MatchSet(m.reference[:count], m.scene[:count], m.distance[:count])
+
+    monkeypatch.setattr(pipeline.features, "match", band_match)
+    result, state = process_frame(img, wmap, INTR, bank, TrackerState(), timestamp=0.0)
+    assert result.outcome == OUTCOME_NO_STICKER
+    assert set(result.timings_ms) == {"detect", "match"}
+    assert state == TrackerState()
 
 
 def test_clean_render_localises_by_decoding(wmap, bank):
