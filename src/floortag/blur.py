@@ -41,7 +41,11 @@ def min_shutter_reciprocal(
     """Smallest N keeping the projected motion within one pixel during 1/N seconds."""
     if not all(math.isfinite(v) and v > 0 for v in (f, distance, velocity, pixel_pitch)):
         raise ValueError("all parameters must be finite and positive")
-    return f * velocity / (distance * pixel_pitch)
+    denominator = distance * pixel_pitch
+    n_min = f * velocity / denominator if denominator > 0 else 0.0
+    if not (0.0 < n_min < math.inf and 1.0 / n_min < math.inf):
+        raise ValueError("the minimum shutter reciprocal is outside the float range")
+    return n_min
 
 
 def is_sharp(params: BlurParams) -> bool:

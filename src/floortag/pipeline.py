@@ -17,7 +17,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class PipelineConfig:
     accept_min = identify.DEFAULT_ACCEPT_MIN
     margin_ratio = identify.DEFAULT_MARGIN_RATIO
     max_reprojection_rms = 3.0
-    # Planar offset from the camera to the operator's feet on the floor.
-    operator_offset_m = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class LocalisationResult:
     frame_id: int
     outcome: str
     position: np.ndarray | None = None  # camera centre, world metres
-    operator_position: np.ndarray | None = None  # operator's feet on the floor
     pose: Pose | None = None
     sticker_id: int | None = None
     method: str | None = None
@@ -110,9 +107,6 @@ class LocalisationResult:
             "frame": self.frame_id,
             "outcome": self.outcome,
             "position": None if self.position is None else [float(v) for v in self.position],
-            "operator_position": None
-            if self.operator_position is None
-            else [float(v) for v in self.operator_position],
             "pose": None
             if self.pose is None
             else {
@@ -126,11 +120,16 @@ class LocalisationResult:
         }
 
 
-@dataclass
-class _RoiContext:
+@dataclass(frozen=True)
+class Observation:
+    """One sticker outline in view; sticker, turns and method are None, 0, None until named."""
+
     roi: clustering.Roi
     crop: GreyImage
-    corners: QuadCorners | None  # crop-local
+    corners: QuadCorners  # crop-local
+    sticker: warehouse.StickerSpec | None
+    turns: int
+    method: str | None
 
 
 class _StageClock:
@@ -197,6 +196,34 @@ def identify_crop(
         return None
     view = estimate_view(crop, feats, quad, warehouse_map.get(candidates[0]).payloads)
     return identify.identify_sticker(feats, bank, candidates, view)
+
+
+def _decode(obs: Observation, warehouse_map: warehouse.WarehouseMap) -> Observation | None:
+    """obs named by the symbol read at its artwork cells; None if none reads or is not mapped."""
+    read = artwork.read_sticker(obs.crop, obs.corners)
+    if read is None:
+        return None
+    payload, slot = read
+    try:
+        sticker = warehouse.lookup_by_payload(warehouse_map, payload)
+    except warehouse.UnknownPayloadError:
+        return None
+    turns = artwork.quarter_turns(slot, sticker.payloads.index(payload.text))
+    return replace(obs, sticker=sticker, turns=turns, method=METHOD_DECODED)
+
+
+def _identify(
+    obs: Observation, warehouse_map: warehouse.WarehouseMap, bank: ReferenceBank, candidates: list[int]
+) -> Observation | None:
+    """obs named by the accepted identification of its outline's crop, or None."""
+    crop, quad = outline_crop(obs.crop, obs.corners.corners, PipelineConfig.roi_margin)
+    result = identify_crop(crop, quad, warehouse_map, bank, candidates)
+    if result is None or not result.accepted:
+        return None
+    return replace(
+        obs, sticker=warehouse_map.get(result.sticker_id), turns=result.turns,
+        method=METHOD_IDENTIFIED,
+    )
 
 
 def _pose_from_quad(
@@ -266,85 +293,56 @@ def process_frame(
         rois.append(roi)
     clock.lap("cluster")
 
-    contexts: list[_RoiContext] = []
+    observations = []
     for roi in rois:
         crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
         if crop.width < 40 or crop.height < 40:
             continue
         corners = extract_corners(crop, cfg.min_contour_area)
-        contexts.append(_RoiContext(roi, crop, corners))
+        if corners is not None:
+            observations.append(Observation(roi, crop, corners, None, 0, None))
     clock.lap("quad")
 
-    # Decode pass: every ROI is tried before any identification fallback fires.
-    sticker = None
-    chosen: _RoiContext | None = None
-    method = None
-    for ctx in contexts:
-        if ctx.corners is None:
-            continue
-        read = artwork.read_sticker(ctx.crop, ctx.corners)
-        if read is None:
-            continue
-        payload, slot = read
-        try:
-            sticker = warehouse.lookup_by_payload(warehouse_map, payload)
-        except warehouse.UnknownPayloadError:
-            continue
-        turns = artwork.quarter_turns(slot, sticker.payloads.index(payload.text))
-        chosen = ctx
-        method = METHOD_DECODED
-        break
+    # Every outline is tried for a decode before any identification fires.
+    named = next(filter(None, (_decode(obs, warehouse_map) for obs in observations)), None)
     clock.lap("decode")
-
-    if sticker is None:
+    if named is None:
         last = state.valid_position(now, cfg.state_expiry_s)
-        candidates = warehouse.candidate_stickers(
-            warehouse_map, last, cfg.candidate_radius_m
-        )
-        for ctx in contexts:
-            if ctx.corners is None or not candidates:
-                continue
-            crop, quad = outline_crop(ctx.crop, ctx.corners.corners, cfg.roi_margin)
-            result = identify_crop(crop, quad, warehouse_map, bank, candidates)
-            if result is not None and result.accepted:
-                sticker = warehouse_map.get(result.sticker_id)
-                turns = result.turns
-                chosen = ctx
-                method = METHOD_IDENTIFIED
-                break
+        candidates = warehouse.candidate_stickers(warehouse_map, last, cfg.candidate_radius_m)
+        if candidates:
+            identified = (_identify(obs, warehouse_map, bank, candidates) for obs in observations)
+            named = next(filter(None, identified), None)
     clock.lap("identify")
 
-    if sticker is None or chosen is None:
+    if named is None:
         return (
             LocalisationResult(frame_id, OUTCOME_DETECTED_UNREAD, timings_ms=clock.timings),
             state,
         )
 
-    frame_corners = chosen.corners.corners + (chosen.roi.x0, chosen.roi.y0)
-    solved = _pose_from_quad(intr, sticker, frame_corners, turns, cfg.max_reprojection_rms)
+    frame_corners = named.corners.corners + (named.roi.x0, named.roi.y0)
+    solved = _pose_from_quad(
+        intr, named.sticker, frame_corners, named.turns, cfg.max_reprojection_rms
+    )
     clock.lap("pose")
     if solved is None:
         return (
             LocalisationResult(
-                frame_id, OUTCOME_DETECTED_UNREAD, sticker_id=sticker.id,
-                method=method, timings_ms=clock.timings,
+                frame_id, OUTCOME_DETECTED_UNREAD, sticker_id=named.sticker.id,
+                method=named.method, timings_ms=clock.timings,
             ),
             state,
         )
     pose, position = solved
-    operator = np.array(
-        [position[0] + cfg.operator_offset_m[0], position[1] + cfg.operator_offset_m[1]]
-    )
     new_state = TrackerState((float(position[0]), float(position[1])), now)
     return (
         LocalisationResult(
             frame_id,
             OUTCOME_LOCALISED,
             position=position,
-            operator_position=operator,
             pose=pose,
-            sticker_id=sticker.id,
-            method=method,
+            sticker_id=named.sticker.id,
+            method=named.method,
             timings_ms=clock.timings,
         ),
         new_state,

@@ -16,7 +16,7 @@ from scipy import ndimage
 from . import artwork
 from .geometry import CameraIntrinsics, Pose, camera_world_position, project_many, projection_matrix
 from .imaging import GreyImage, bilinear_sample
-from .warehouse import StickerSpec, WarehouseMap
+from .warehouse import WarehouseMap
 
 STICKER_TEXTURE_PX = 240
 FLOOR_LUMINANCE = 120.0
@@ -274,8 +274,3 @@ def _finite_numbers(fields: list[str], count: int, where: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise TruthFormatError(f"{where}: values must be finite")
     return values
-
-
-def single_sticker_map(sticker: StickerSpec | None = None) -> WarehouseMap:
-    """One sticker at the origin; convenient for focused tests."""
-    return WarehouseMap([sticker or StickerSpec(1, 0.0, 0.0, 0.0)])

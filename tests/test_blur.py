@@ -83,3 +83,13 @@ def test_blur_params_reject_nonpositive():
         BlurParams(0.0, 1.0, 1.0, 1.0, 1.4e-6)
     with pytest.raises(ValueError):
         projected_displacement(0.0036, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("f, distance, velocity, pitch", [
+    (3.6e-3, 1e-300, 1.0, 1e-30),  # distance * pitch underflows to 0
+    (1e300, 1.0, 1e300, 1.4e-6),  # f * velocity overflows
+    (1e-160, 1.0, 1e-150, 1.0),  # N is subnormal, so 1 / N overflows
+], ids=["zero-denominator", "infinite", "infinite-exposure"])
+def test_min_shutter_rejects_a_result_outside_the_float_range(f, distance, velocity, pitch):
+    with pytest.raises(ValueError, match="outside the float range"):
+        min_shutter_reciprocal(f, distance, velocity, pitch)

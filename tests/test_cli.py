@@ -50,6 +50,16 @@ def test_blur_check_rejects_values_that_are_not_finite(capsys, argv, err):
     assert (code, out, got) == (1, "", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--focal", "3.6e-3", "--distance", "1e-300", "--velocity", "1", "--pixel-pitch", "1e-30"],
+    ["--focal", "1e300", "--distance", "1", "--velocity", "1e300", "--pixel-pitch", "1.4e-6"],
+], ids=["underflow", "overflow"])
+def test_blur_check_rejects_a_result_outside_the_float_range(capsys, argv):
+    code, out, err = run(capsys, ["blur-check", *argv])
+    assert (code, out) == (1, "")
+    assert err == "error: the minimum shutter reciprocal is outside the float range\n"
+
+
 def test_binning_below_one_is_an_error(capsys):
     code, out, err = run(capsys, ["bench", "--trials", "1", "--binning", "0"])
     assert (code, out, err) == (1, "", "error: binning must be at least 1, got 0\n")

@@ -4,9 +4,14 @@ For the first frames of the sharp, large-map and blur10 workloads of
 perfbench/harness.py at two harness seeds, the fixture holds what
 process_frame returned: outcome, sticker, method and camera position, with
 the tracker state threaded from frame to frame as the benchmark does. A
-change meant to leave results alone must keep this test passing. Positions
-are compared within 1e-9 m, so that an older numpy or scipy may round the
-last digits differently.
+change meant to leave results alone must keep this test passing.
+
+Positions are compared within 1e-9 m, which does not absorb a change in
+rounding. refine_pose stops once its step falls below 1e-10, so moving the
+quad corners by a relative 1e-13, 1e-12 or 1e-10 moved sharp and large-map
+positions by up to 2.2e-9, 4.5e-9 and 2.6e-9 m. The fixture therefore needs
+corners that are bit-identical upstream of refine_pose; a numpy or scipy
+that rounds them differently fails it.
 
 Regenerate the fixture only for a change meant to move results:
 

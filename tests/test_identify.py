@@ -15,8 +15,10 @@ from floortag.identify import (
     render_candidate_view,
 )
 from floortag.imaging import GreyImage
-from floortag.simulate import RenderConfig, render, single_sticker_map
+from floortag.simulate import RenderConfig, render
 from floortag.warehouse import StickerSpec, generate_grid_map
+
+from maps import single_sticker_map
 
 INTR = CameraIntrinsics.reference_camera(binning=2)
 

@@ -3,9 +3,9 @@ import pytest
 
 from floortag.bench import sample_camera_pose
 from floortag.geometry import CameraIntrinsics, camera_world_position, downward_camera_pose
-from floortag import pipeline
+from floortag import artwork, pipeline
 from floortag.features import MatchSet
-from floortag.identify import ReferenceBank
+from floortag.identify import IdentificationResult, ReferenceBank
 from floortag.imaging import GreyImage, NotAQuadError
 from floortag.pipeline import (
     OUTCOME_DETECTED_UNREAD,
@@ -78,7 +78,6 @@ def test_clean_render_localises_by_decoding(wmap, bank):
     assert result.method == "decoded"
     assert result.sticker_id == 5
     assert np.linalg.norm(result.position - np.asarray(cam)) < 0.02
-    assert result.operator_position == pytest.approx(result.position[:2])
     assert state.position == (pytest.approx(cam[0], abs=0.02), pytest.approx(cam[1], abs=0.02))
     assert set(result.timings_ms) >= {"detect", "match", "cluster", "quad", "decode", "pose"}
 
@@ -214,8 +213,7 @@ def test_result_json_shape(wmap, bank):
     result, _ = process_frame(blank_frame(7), wmap, INTR, bank, TrackerState(), timestamp=0.0)
     d = result.to_json_dict()
     assert set(d) == {
-        "frame", "outcome", "position", "operator_position", "pose",
-        "sticker_id", "method", "timings_ms", "error",
+        "frame", "outcome", "position", "pose", "sticker_id", "method", "timings_ms", "error",
     }
     assert d["outcome"] == OUTCOME_NO_STICKER
     assert d["error"] is None
@@ -303,3 +301,77 @@ def test_self_crossing_quads_never_reach_identification(wmap, bank, monkeypatch)
     assert result.outcome == OUTCOME_DETECTED_UNREAD
     assert "corner far outside the crop" in dropped and "quad not convex" in dropped
     assert kept == [] and identified == []
+
+
+# Several stickers in view: a 3x3 map at 0.5 m pitch seen from 1 m straight
+# down between stickers 5 and 6, both whole in the frame. Sticker 6's outline
+# is the first tried.
+DENSE_CAMERA = (0.75, 0.5, 1.0)
+
+
+@pytest.fixture(scope="module")
+def dense_scene():
+    dense = generate_grid_map(3, 3, 0.5)
+    img, truth = render(dense, INTR, downward_camera_pose(DENSE_CAMERA), RenderConfig(seed=3))
+    return dense, ReferenceBank.build(dense, INTR), img, truth
+
+
+def _frame_corners(quad, truth, sticker_id):
+    """The crop-local quad in frame pixels, shifted by the whole-pixel offset to its truth corners."""
+    offset = np.round(truth.corners_of(sticker_id) - quad.corners).mean(axis=0).astype(int)
+    frame = quad.corners + offset
+    assert np.abs(frame - truth.corners_of(sticker_id)).max() < 0.1
+    return frame
+
+
+def _read_all_but_the_first(monkeypatch):
+    """The (crop, quad) arguments of every read_sticker call; the first call reads nothing."""
+    reads = []
+    real_read = artwork.read_sticker
+
+    def read(crop, quad):
+        reads.append((crop, quad))
+        return None if len(reads) == 1 else real_read(crop, quad)
+
+    monkeypatch.setattr(artwork, "read_sticker", read)
+    return reads
+
+
+def test_the_first_outline_that_reads_names_a_frame_with_several_stickers(dense_scene):
+    dense, dense_bank, img, truth = dense_scene
+    assert sorted(s.sticker_id for s in truth.visible) == [5, 6]
+    result, _ = process_frame(img, dense, INTR, dense_bank, TrackerState(), timestamp=0.0)
+    assert (result.outcome, result.method, result.sticker_id) == (OUTCOME_LOCALISED, "decoded", 6)
+    assert np.linalg.norm(result.position - DENSE_CAMERA) < 0.002
+
+
+def test_an_unread_first_outline_leaves_the_next_outline_to_decode(dense_scene, monkeypatch):
+    dense, dense_bank, img, truth = dense_scene
+    reads = _read_all_but_the_first(monkeypatch)
+    result, _ = process_frame(img, dense, INTR, dense_bank, TrackerState(), timestamp=0.0)
+    assert (result.outcome, result.method, result.sticker_id) == (OUTCOME_LOCALISED, "decoded", 5)
+    assert len(reads) == 2
+    _frame_corners(reads[0][1], truth, 6)  # the unread outline is sticker 6's
+    corners = _frame_corners(reads[1][1], truth, 5)
+    _, position = pipeline._pose_from_quad(
+        INTR, dense.get(5), corners, 0, PipelineConfig.max_reprojection_rms
+    )
+    np.testing.assert_array_equal(result.position, position)
+    assert np.linalg.norm(result.position - DENSE_CAMERA) < 0.002
+
+
+def test_every_outline_is_tried_for_a_decode_before_any_identification(dense_scene, monkeypatch):
+    # An identification that would accept sticker 6 on the unread first
+    # outline is never asked for: the second outline decodes first.
+    dense, dense_bank, img, _ = dense_scene
+    _read_all_but_the_first(monkeypatch)
+    identified = []
+
+    def accept(*args):
+        identified.append(args)
+        return IdentificationResult(6, 100, 0, True, 0)
+
+    monkeypatch.setattr(pipeline, "identify_crop", accept)
+    result, _ = process_frame(img, dense, INTR, dense_bank, TrackerState(), timestamp=0.0)
+    assert (result.outcome, result.method, result.sticker_id) == (OUTCOME_LOCALISED, "decoded", 5)
+    assert identified == []

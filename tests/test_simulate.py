@@ -12,13 +12,13 @@ from floortag.simulate import (
     load_truth,
     render,
     save_truth,
-    single_sticker_map,
 )
 from floortag.identify import ViewContext, render_candidate_view
 from floortag.imaging import bilinear_sample
 from floortag.warehouse import StickerSpec, WarehouseMap, generate_grid_map
 
 import supersampled
+from maps import single_sticker_map
 
 INTR = CameraIntrinsics.reference_camera(binning=4)  # 648x486, quick for tests
 
