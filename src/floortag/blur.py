@@ -1,4 +1,4 @@
-"""Motion-blur feasibility: projected displacement per exposure and the shutter bound."""
+"""Motion-blur feasibility: the shutter bound for at most one pixel of projected motion."""
 
 from __future__ import annotations
 
@@ -21,20 +21,6 @@ class BlurParams:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-def magnification(f: float, distance: float) -> float:
-    """Optical magnification f/D."""
-    if distance <= 0:
-        raise ValueError("distance must be positive")
-    return f / distance
-
-
-def projected_displacement(magnification_ratio: float, velocity: float, shutter_reciprocal: float) -> float:
-    """Distance the projection travels on the sensor during one exposure, metres."""
-    if shutter_reciprocal <= 0:
-        raise ValueError("shutter reciprocal must be positive")
-    return magnification_ratio * velocity / shutter_reciprocal
-
-
 def min_shutter_reciprocal(
     f: float, distance: float, velocity: float, pixel_pitch: float
 ) -> float:
@@ -49,8 +35,7 @@ def min_shutter_reciprocal(
 
 
 def is_sharp(params: BlurParams) -> bool:
-    """True when the exposure is short enough for sub-pixel projected motion."""
-    d = projected_displacement(
-        magnification(params.f, params.distance), params.velocity, params.shutter_reciprocal
+    """True when the exposure is short enough for at most one pixel of projected motion."""
+    return params.shutter_reciprocal >= min_shutter_reciprocal(
+        params.f, params.distance, params.velocity, params.pixel_pitch
     )
-    return d <= params.pixel_pitch

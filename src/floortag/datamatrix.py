@@ -1,7 +1,12 @@
 """ECC200 Data Matrix codec for the 10x10 symbol: 3 data + 5 Reed-Solomon codewords.
 
 Galois field GF(256) with the Data Matrix polynomial x^8+x^5+x^3+x^2+1 and
-generator roots alpha^1..alpha^5. Only the 10x10 size is supported.
+generator roots alpha^1..alpha^5. Only the 10x10 size is supported, the one
+floortag prints. Its 8x8 data region is a multiple of 8 modules on each side,
+so the ISO/IEC 16022 placement walk fills it whole and needs none of the
+standard's corner rules or its fixed lower-right pattern. The code corrects
+at most 2 codeword errors, so the decoder solves Peterson's equations for
+the error locator directly.
 
 `decode_bitmap` decodes a sampled 10x10 module grid. The pipeline samples
 those grids at the sticker's known symbol cells (`artwork.read_sticker`), so
@@ -71,10 +76,6 @@ def gf_pow(a: int, n: int) -> int:
     if a == 0:
         return 0
     return int(_GF_EXP[(_GF_LOG[a] * n) % 255])
-
-
-def gf_inv(a: int) -> int:
-    return gf_div(1, a)
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -159,15 +160,12 @@ def _randomised_pad(position: int) -> int:
     return v - 254 if v > 254 else v
 
 
-def encode_text(text: str | bytes) -> bytes:
+def encode_text(text: str) -> bytes:
     """ASCII-mode encodation into exactly 3 data codewords (digit pairs packed)."""
-    if isinstance(text, str):
-        try:
-            raw = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise EncodingError("only ASCII payloads are supported") from exc
-    else:
-        raw = bytes(text)
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise EncodingError("only ASCII payloads are supported") from exc
     out: list[int] = []
     i = 0
     while i < len(raw):
@@ -177,12 +175,8 @@ def encode_text(text: str | bytes) -> bytes:
             out.append(130 + int(raw[i : i + 2]))
             i += 2
         else:
-            if raw[i] > 127:
-                raise EncodingError("only ASCII payloads are supported")
             out.append(raw[i] + 1)
             i += 1
-    if len(out) > DATA_CODEWORDS:
-        raise EncodingError(f"payload {text!r} exceeds 10x10 capacity")
     if len(out) < DATA_CODEWORDS:
         out.append(129)
     while len(out) < DATA_CODEWORDS:
@@ -222,153 +216,80 @@ def syndromes(codewords: bytes) -> list[int]:
     return [_poly_eval(list(codewords), gf_pow(2, i)) for i in range(1, ECC_CODEWORDS + 1)]
 
 
-def _berlekamp_massey(synd: list[int]) -> list[int]:
-    err_loc = [1]
-    old_loc = [1]
-    for k in range(len(synd)):
-        delta = synd[k]
-        for j in range(1, len(err_loc)):
-            delta ^= gf_mul(err_loc[-(j + 1)], synd[k - j])
-        old_loc.append(0)
-        if delta != 0:
-            if len(old_loc) > len(err_loc):
-                new_loc = [gf_mul(c, delta) for c in old_loc]
-                old_loc = [gf_mul(c, gf_inv(delta)) for c in err_loc]
-                err_loc = new_loc
-            pad = [0] * (len(err_loc) - len(old_loc))
-            scaled = pad + [gf_mul(c, delta) for c in old_loc]
-            err_loc = [a ^ b for a, b in zip(err_loc, scaled)]
-    while err_loc and err_loc[0] == 0:
-        err_loc.pop(0)
-    return err_loc
+# Codeword p is the coefficient of x^(7 - p), so an error there has locator alpha^(7 - p).
+_LOCATORS = tuple(gf_pow(2, 7 - p) for p in range(DATA_CODEWORDS + ECC_CODEWORDS))
 
 
 def rs_decode(cw: Codewords | bytes) -> Payload:
-    """Correct up to 2 codeword errors and unpack the message."""
-    if isinstance(cw, Codewords):
-        received = list(cw.full)
-    else:
-        received = list(cw)
+    """Correct up to 2 codeword errors and unpack the message.
+
+    Peterson's equations: the error locators are the roots of x^2 + L1 x + L2
+    with S3 = L1 S2 + L2 S1 and S4 = L1 S3 + L2 S2. When det = S2^2 + S1 S3 is
+    nonzero there are two errors and Cramer's rule gives L1 and L2; when it
+    is 0 and S1 is not, one error sits at L1 = S2 / S1 (L2 = 0). A correction
+    stands only when every syndrome of the result is 0.
+    """
+    received = list(cw.full if isinstance(cw, Codewords) else cw)
     if len(received) != DATA_CODEWORDS + ECC_CODEWORDS:
         raise ValueError("expected 8 codewords")
-    n = len(received)
-
     synd = syndromes(bytes(received))
     if max(synd) == 0:
         return Payload(bytes(received[:DATA_CODEWORDS]))
 
-    err_loc = _berlekamp_massey(synd)
-    n_errors = len(err_loc) - 1
-    if 2 * n_errors > ECC_CODEWORDS:
+    s1, s2, s3, s4, _ = synd
+    det = gf_mul(s2, s2) ^ gf_mul(s1, s3)
+    if det:
+        n_errors = 2
+        l1 = gf_div(gf_mul(s2, s3) ^ gf_mul(s1, s4), det)
+        l2 = gf_div(gf_mul(s2, s4) ^ gf_mul(s3, s3), det)
+    elif s1:
+        n_errors, l1, l2 = 1, gf_div(s2, s1), 0
+    else:
         raise UncorrectableError("uncorrectable: too many errors")
-
-    # Chien search: the reversed locator has roots alpha^e at error degrees e.
-    reversed_loc = list(reversed(err_loc))
-    err_pos = []
-    for i in range(n):
-        if _poly_eval(reversed_loc, gf_pow(2, i)) == 0:
-            err_pos.append(n - 1 - i)
-    if len(err_pos) != n_errors:
+    positions = [p for p, x in enumerate(_LOCATORS) if gf_mul(x, x ^ l1) == l2]
+    if len(positions) != n_errors:
         raise UncorrectableError("uncorrectable: error locator roots inconsistent")
-
-    corrected = _forney_correct(received, synd, sorted(err_pos))
-    if max(syndromes(bytes(corrected))) != 0:
+    # The other root of the locator is x' = L1 + x (0 for one error), and
+    # S1 = Y x + Y' x', S2 = Y x^2 + Y' x'^2 give Y = (S2 + S1 x') / (x L1).
+    for p in positions:
+        x = _LOCATORS[p]
+        received[p] ^= gf_div(s2 ^ gf_mul(s1, l1 ^ x), gf_mul(x, l1))
+    if max(syndromes(bytes(received))) != 0:
         raise UncorrectableError("uncorrectable: correction failed")
-    return Payload(bytes(corrected[:DATA_CODEWORDS]), errors_corrected=n_errors)
-
-
-def _forney_correct(received: list[int], synd: list[int], positions: list[int]) -> list[int]:
-    """Forney magnitudes for fcr=1: Y_l = Omega(X_l^-1) / (X_l * prod(1 + X_k X_l^-1))."""
-    n = len(received)
-    xs = [gf_pow(2, n - 1 - p) for p in positions]
-    # Locator and evaluator as low-degree-first coefficient lists.
-    lam = [1]
-    for x in xs:
-        lam = _poly_mul(lam, [1, x])
-    omega = _poly_mul(synd, lam)[: ECC_CODEWORDS]
-
-    out = list(received)
-    for i, xi in enumerate(xs):
-        xi_inv = gf_inv(xi)
-        denom = xi
-        for j, xj in enumerate(xs):
-            if j != i:
-                denom = gf_mul(denom, 1 ^ gf_mul(xi_inv, xj))
-        if denom == 0:
-            raise UncorrectableError("uncorrectable: repeated error location")
-        num = _poly_eval(list(reversed(omega)), xi_inv)
-        out[positions[i]] ^= gf_div(num, denom)
-    return out
+    return Payload(bytes(received[:DATA_CODEWORDS]), errors_corrected=n_errors)
 
 
 # ECC200 module placement for the 8x8 data region (bit 0 is the codeword MSB).
+# The walk's wrap rule moves a module off the top (left) edge by
+# 4 - (8 + 4) % 8 = 0 columns (rows), so it re-enters at the opposite edge.
 def _placement_grid() -> list[list[tuple[int, int]]]:
-    nrow = ncol = DATA_REGION
-    grid: list[list[tuple[int, int] | None]] = [[None] * ncol for _ in range(nrow)]
-
-    def place_bit(r: int, c: int, idx: int, bit: int) -> None:
-        if r < 0:
-            r += nrow
-            c += 4 - ((nrow + 4) % 8)
-        if c < 0:
-            c += ncol
-            r += 4 - ((ncol + 4) % 8)
-        grid[r][c] = (idx, bit)
+    n = DATA_REGION
+    grid: list[list[tuple[int, int] | None]] = [[None] * n for _ in range(n)]
 
     def place_utah(r: int, c: int, idx: int) -> None:
         offsets = [(-2, -2), (-2, -1), (-1, -2), (-1, -1), (-1, 0), (0, -2), (0, -1), (0, 0)]
         for bit, (dr, dc) in enumerate(offsets):
-            place_bit(r + dr, c + dc, idx, bit)
-
-    def corner(cells: list[tuple[int, int]], idx: int) -> None:
-        for bit, (r, c) in enumerate(cells):
-            grid[r][c] = (idx, bit)
+            grid[(r + dr) % n][(c + dc) % n] = (idx, bit)
 
     idx = 0
     row, col = 4, 0
-    while row < nrow or col < ncol:
-        if row == nrow and col == 0:
-            corner(
-                [(nrow - 1, 0), (nrow - 1, 1), (nrow - 1, 2), (0, ncol - 2), (0, ncol - 1),
-                 (1, ncol - 1), (2, ncol - 1), (3, ncol - 1)], idx)
-            idx += 1
-        if row == nrow - 2 and col == 0 and ncol % 4 != 0:
-            corner(
-                [(nrow - 3, 0), (nrow - 2, 0), (nrow - 1, 0), (0, ncol - 4), (0, ncol - 3),
-                 (0, ncol - 2), (0, ncol - 1), (1, ncol - 1)], idx)
-            idx += 1
-        if row == nrow - 2 and col == 0 and ncol % 8 == 4:
-            corner(
-                [(nrow - 3, 0), (nrow - 2, 0), (nrow - 1, 0), (0, ncol - 2), (0, ncol - 1),
-                 (1, ncol - 1), (2, ncol - 1), (3, ncol - 1)], idx)
-            idx += 1
-        if row == nrow + 4 and col == 2 and ncol % 8 == 0:
-            corner(
-                [(nrow - 1, 0), (nrow - 1, ncol - 1), (0, ncol - 3), (0, ncol - 2),
-                 (0, ncol - 1), (1, ncol - 3), (1, ncol - 2), (1, ncol - 1)], idx)
-            idx += 1
-        while row >= 0 and col < ncol:
-            if row < nrow and col >= 0 and grid[row][col] is None:
+    while row < n or col < n:
+        while row >= 0 and col < n:
+            if row < n and col >= 0 and grid[row][col] is None:
                 place_utah(row, col, idx)
                 idx += 1
             row -= 2
             col += 2
         row += 1
         col += 3
-        while row < nrow and col >= 0:
-            if row >= 0 and col < ncol and grid[row][col] is None:
+        while row < n and col >= 0:
+            if row >= 0 and col < n and grid[row][col] is None:
                 place_utah(row, col, idx)
                 idx += 1
             row += 2
             col -= 2
         row += 3
         col += 1
-    if grid[nrow - 1][ncol - 1] is None:
-        # Fixed checker in the lower-right 2x2 when the walk leaves it empty.
-        grid[nrow - 1][ncol - 1] = (-1, 0)
-        grid[nrow - 2][ncol - 2] = (-1, 0)
-        grid[nrow - 1][ncol - 2] = (-2, 0)
-        grid[nrow - 2][ncol - 1] = (-2, 0)
     assert all(cell is not None for rowcells in grid for cell in rowcells)
     return grid  # type: ignore[return-value]
 
@@ -387,13 +308,7 @@ def bitmap_from_codewords(cw: Codewords) -> SymbolBitmap:
     for r in range(DATA_REGION):
         for c in range(DATA_REGION):
             idx, bit = _PLACEMENT[r][c]
-            if idx == -1:
-                dark = True
-            elif idx == -2:
-                dark = False
-            else:
-                dark = bool((full[idx] >> (7 - bit)) & 1)
-            m[r + 1, c + 1] = dark
+            m[r + 1, c + 1] = (full[idx] >> (7 - bit)) & 1
     return SymbolBitmap(m)
 
 
@@ -406,7 +321,7 @@ def codewords_from_bitmap(modules: np.ndarray) -> bytes:
     for r in range(DATA_REGION):
         for c in range(DATA_REGION):
             idx, bit = _PLACEMENT[r][c]
-            if idx >= 0 and m[r + 1, c + 1]:
+            if m[r + 1, c + 1]:
                 values[idx] |= 1 << (7 - bit)
     return bytes(values)
 

@@ -452,21 +452,20 @@ def _refine_edge(
     return pts[ok] + t[:, None] * normal
 
 
-def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorners:
+def extract_quad_corners(c: Contour, image: GreyImage) -> QuadCorners:
     """Quad corners from a contour: support extreme points refined by edge-line intersection.
 
-    With the source grey image supplied, edge points are re-localised at the
-    luminance-gradient centroid along the edge normal before the line fit,
-    which removes the half-pixel bias of binarised boundary centres. Each edge
-    is refined in one batch: one bilinear sample over all its points' profiles.
-    A corner more than the image's width (x) or height (y) outside it then
-    raises NotAQuadError. So does a quad that is not convex, such as one
-    whose edges cross.
+    Edge points are re-localised at the luminance-gradient centroid along the
+    edge normal in the source grey image before the line fit, which removes
+    the half-pixel bias of binarised boundary centres. Each edge is refined in
+    one batch: one bilinear sample over all its points' profiles. A corner
+    more than the image's width (x) or height (y) outside it raises
+    NotAQuadError. So does a quad that is not convex, such as one whose edges
+    cross.
     """
     pts = c.points.astype(np.float64)
     idx = _initial_corner_indices(pts)
     corners = pts[idx]
-    px = image.pixels if image is not None else None
 
     n = len(pts)
     lines = []
@@ -497,11 +496,10 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
             lines.append((a, chord_dir))
             continue
         cen, direction = _fit_line(edge_pts)
-        if px is not None:
-            nrm = np.array([-direction[1], direction[0]])
-            refined_pts = _refine_edge(px, edge_pts, nrm, PROFILE_HALF_WIDTH)
-            if len(refined_pts) >= 2:
-                cen, direction = _fit_line(refined_pts)
+        nrm = np.array([-direction[1], direction[0]])
+        refined_pts = _refine_edge(image.pixels, edge_pts, nrm, PROFILE_HALF_WIDTH)
+        if len(refined_pts) >= 2:
+            cen, direction = _fit_line(refined_pts)
         lines.append((cen, direction))
 
     out = []
@@ -510,12 +508,11 @@ def extract_quad_corners(c: Contour, image: GreyImage | None = None) -> QuadCorn
         c_k, d_k = lines[k]
         out.append(_intersect(c_prev, d_prev, c_k, d_k))
     out = np.asarray(out)
-    if image is not None:
-        # Nearly parallel edge lines of an outline cut by the crop edge meet
-        # far away; a sticker's corner lies within a crop size of the crop.
-        size = np.array([image.width, image.height])
-        if np.any((out < -size) | (out > 2 * size)):
-            raise NotAQuadError("corner far outside the crop")
+    # Nearly parallel edge lines of an outline cut by the crop edge meet far
+    # away; a sticker's corner lies within a crop size of the crop.
+    size = np.array([image.width, image.height])
+    if np.any((out < -size) | (out > 2 * size)):
+        raise NotAQuadError("corner far outside the crop")
     # A sticker's quad is convex: the path turns the same way at every corner.
     # One whose edges cross, or that folds inward, is no sticker outline.
     edges = np.roll(out, -1, axis=0) - out

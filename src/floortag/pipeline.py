@@ -276,7 +276,7 @@ def process_frame(
     if len(matches) <= cfg.detect_min:
         return LocalisationResult(frame_id, OUTCOME_NO_STICKER, timings_ms=clock.timings), state
 
-    points = feats.positions[matches.scene_indices()]
+    points = feats.positions[matches.scene]
     clusters = clustering.cluster_keypoints(
         points, merge_dist=clustering.default_merge_dist(intr)
     )

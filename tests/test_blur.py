@@ -1,42 +1,8 @@
+import math
+
 import pytest
 
-from floortag.blur import (
-    BlurParams,
-    is_sharp,
-    magnification,
-    min_shutter_reciprocal,
-    projected_displacement,
-)
-
-
-def test_magnification_unity():
-    assert magnification(0.0036, 0.0036) == 1.0
-
-
-def test_magnification_reference_values():
-    assert magnification(3.6e-3, 1.0) == pytest.approx(0.0036)
-    assert magnification(3.6e-3, 2.0) == pytest.approx(0.0018)
-
-
-def test_magnification_rejects_nonpositive_distance():
-    with pytest.raises(ValueError):
-        magnification(0.0036, 0.0)
-
-
-def test_displacement_zero_velocity():
-    for n in (1.0, 100.0, 2571.0):
-        assert projected_displacement(0.0036, 0.0, n) == 0.0
-
-
-def test_displacement_one_pixel_at_bound():
-    d = projected_displacement(0.0036, 1.0, 2571.4285714285716)
-    assert d == pytest.approx(1.4e-6, rel=1e-12)
-
-
-def test_displacement_halves_when_shutter_doubles():
-    d1 = projected_displacement(0.0036, 1.0, 1000.0)
-    d2 = projected_displacement(0.0036, 1.0, 2000.0)
-    assert d1 == pytest.approx(2 * d2)
+from floortag.blur import BlurParams, is_sharp, min_shutter_reciprocal
 
 
 def test_min_shutter_reference_camera():
@@ -66,9 +32,7 @@ def test_min_shutter_monotonic():
 def test_displacement_at_min_shutter_is_exactly_one_pixel():
     f, dist, v, pitch = 3.6e-3, 1.3, 0.7, 1.4e-6
     n_min = min_shutter_reciprocal(f, dist, v, pitch)
-    assert projected_displacement(magnification(f, dist), v, n_min) == pytest.approx(
-        pitch, rel=1e-12
-    )
+    assert f / dist * v / n_min == pytest.approx(pitch, rel=1e-12)
 
 
 def test_is_sharp_verdict():
@@ -78,11 +42,26 @@ def test_is_sharp_verdict():
     assert not is_sharp(blurred)
 
 
+def test_is_sharp_at_the_minimum_shutter_and_blurred_just_below():
+    n = min_shutter_reciprocal(3.6e-3, 0.7, 1.3, 2.8e-6)
+    assert is_sharp(BlurParams(3.6e-3, 0.7, 1.3, n, 2.8e-6))
+    assert not is_sharp(BlurParams(3.6e-3, 0.7, 1.3, math.nextafter(n, 0), 2.8e-6))
+
+
+def test_is_sharp_when_magnification_times_velocity_overflows():
+    # f / distance * velocity is 1e310, but N_min = 1e290 is finite: a 1e10 m
+    # smear against a 1e20 m pixel.
+    assert is_sharp(BlurParams(1e150, 1e-10, 1e150, 1e300, 1e20))
+
+
+def test_is_sharp_raises_where_the_minimum_shutter_does():
+    with pytest.raises(ValueError, match="outside the float range"):
+        is_sharp(BlurParams(1e300, 1.0, 1e300, 1.0, 1.4e-6))
+
+
 def test_blur_params_reject_nonpositive():
     with pytest.raises(ValueError):
         BlurParams(0.0, 1.0, 1.0, 1.0, 1.4e-6)
-    with pytest.raises(ValueError):
-        projected_displacement(0.0036, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("f, distance, velocity, pitch", [

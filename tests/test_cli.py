@@ -36,6 +36,15 @@ def test_blur_check_verdicts(capsys):
     assert "verdict blurred" in out
 
 
+def test_blur_check_is_sharp_when_magnification_times_velocity_overflows(capsys):
+    code, out, _ = run(capsys, [
+        "blur-check", "--focal", "1e150", "--distance", "1e-10", "--velocity", "1e150",
+        "--pixel-pitch", "1e20", "--shutter", "1e300",
+    ])
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict sharp"
+
+
 @pytest.mark.parametrize("argv, err", [
     (["--focal", "nan", "--distance", "1"], "error: all parameters must be finite and positive\n"),
     (["--focal", "3.6e-3", "--distance", "inf"],

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from floortag.warehouse import (
     lookup_by_payload,
 )
 
+from ecc200_reference import reference_placement, reference_rs_decode
 from rectified import RECTIFIED_STICKER_PX, rectified_rotation, rectify_quad
 
 
@@ -178,6 +181,63 @@ def test_rs_decode_three_errors_always_detected():
             corrupted[q] ^= int(rng.integers(1, 256))
         with pytest.raises(UncorrectableError):
             rs_decode(bytes(corrupted))
+
+
+def decode_outcome(decode, word: bytes):
+    """(data, errors_corrected) of a decode, or "uncorrectable"."""
+    try:
+        payload = decode(word)
+    except UncorrectableError:
+        return "uncorrectable"
+    return payload.data, payload.errors_corrected
+
+
+def assert_decodes_like_the_reference(words: list[bytes]) -> Counter:
+    """Compare rs_decode with the reference decoder on every word; count the outcomes."""
+    kinds = Counter()
+    for word in words:
+        want = decode_outcome(reference_rs_decode, word)
+        assert decode_outcome(rs_decode, word) == want, word.hex()
+        kinds[want if want == "uncorrectable" else want[1]] += 1
+    return kinds
+
+
+def test_placement_equals_the_general_walk():
+    assert datamatrix._PLACEMENT == reference_placement()
+
+
+def test_rs_decode_equals_the_reference_on_every_single_error():
+    words = []
+    for text in ("123456", "A"):
+        full = rs_encode(encode_text(text)).full
+        for pos in range(8):
+            for flip in range(1, 256):
+                word = bytearray(full)
+                word[pos] ^= flip
+                words.append(bytes(word))
+    assert assert_decodes_like_the_reference(words) == {1: 2 * 8 * 255}
+
+
+# Minimum distance 6: 2 errors always correct, 3 never do, and a word 4 errors
+# from one codeword is 2 from another only rarely (none of these seeds).
+@pytest.mark.parametrize("n_errors, kinds", [
+    (2, {2: 5000}), (3, {"uncorrectable": 5000}), (4, {"uncorrectable": 5000}),
+], ids=["2-errors", "3-errors", "4-errors"])
+def test_rs_decode_equals_the_reference_on_seeded_multiple_errors(n_errors, kinds):
+    rng = np.random.default_rng(100 + n_errors)
+    words = []
+    for _ in range(5000):
+        word = bytearray(rs_encode(bytes(rng.integers(0, 256, size=3, dtype=np.uint8))).full)
+        for pos in rng.choice(8, size=n_errors, replace=False):
+            word[pos] ^= int(rng.integers(1, 256))
+        words.append(bytes(word))
+    assert assert_decodes_like_the_reference(words) == kinds
+
+
+def test_rs_decode_equals_the_reference_on_seeded_random_words():
+    rng = np.random.default_rng(107)
+    words = [bytes(rng.integers(0, 256, size=8, dtype=np.uint8)) for _ in range(10_000)]
+    assert assert_decodes_like_the_reference(words) == {"uncorrectable": 10_000}
 
 
 def test_codewords_validation():

@@ -388,12 +388,17 @@ def test_trace_contours_matches_oracle_on_pipeline_binaries(pipeline_binaries, k
         assert_traces_like_oracle(binary.pixels == 0)
 
 
+def blank(height: int, width: int) -> GreyImage:
+    """A uniform image: no edge profile swings enough to move a corner."""
+    return GreyImage(np.full((height, width), 255, dtype=np.uint8))
+
+
 def test_quad_corners_axis_aligned_square():
     square = [(x, 0) for x in range(10)]
     square += [(9, y) for y in range(1, 10)]
     square += [(x, 9) for x in range(8, -1, -1)]
     square += [(0, y) for y in range(8, 0, -1)]
-    qc = extract_quad_corners(Contour(np.array(square)))
+    qc = extract_quad_corners(Contour(np.array(square)), blank(10, 10))
     assert np.allclose(qc.corners, [[0, 0], [9, 0], [9, 9], [0, 9]], atol=1e-9)
 
 
@@ -401,7 +406,7 @@ def test_quad_corners_traced_square():
     arr = np.full((30, 30), 255, dtype=np.uint8)
     arr[5:15, 5:15] = 0
     (c,) = trace_contours(GreyImage(arr))
-    qc = extract_quad_corners(c)
+    qc = extract_quad_corners(c, blank(30, 30))
     assert np.allclose(qc.corners, [[5, 5], [14, 5], [14, 14], [5, 14]], atol=1e-9)
 
 
@@ -415,7 +420,7 @@ def test_quad_corners_diamond():
             if abs(x - cx) + abs(y - cy) <= r:
                 arr[y, x] = 0
     (c,) = trace_contours(GreyImage(arr))
-    qc = extract_quad_corners(c)
+    qc = extract_quad_corners(c, blank(41, 41))
     got = {tuple(np.round(p, 1)) for p in qc.corners}
     want = {(20.0, 10.0), (30.0, 20.0), (20.0, 30.0), (10.0, 20.0)}
     assert got == want
@@ -424,7 +429,7 @@ def test_quad_corners_diamond():
 def test_quad_corners_collinear_rejected():
     line = [(x, 5) for x in range(12)] + [(x, 5) for x in range(10, 0, -1)]
     with pytest.raises(NotAQuadError):
-        extract_quad_corners(Contour(np.array(line)))
+        extract_quad_corners(Contour(np.array(line)), blank(12, 12))
 
 
 def test_quad_corners_rotation_equivariant():
@@ -433,11 +438,11 @@ def test_quad_corners_rotation_equivariant():
     arr[12:38, 8:30] = 0
     img = GreyImage(arr)
     (c,) = trace_contours(img)
-    base = extract_quad_corners(c)
+    base = extract_quad_corners(c, blank(50, 50))
 
     rot = GreyImage(np.rot90(arr).copy())
     (c_rot,) = trace_contours(rot)
-    rotated = extract_quad_corners(c_rot)
+    rotated = extract_quad_corners(c_rot, blank(50, 50))
     # np.rot90 maps (x, y) -> (y, w-1-x); map recovered corners back.
     w = img.width
     mapped = np.column_stack([w - 1 - rotated.corners[:, 1], rotated.corners[:, 0]])
@@ -451,7 +456,7 @@ def test_quad_corners_ccw_order_from_top_left():
     arr = np.full((40, 40), 255, dtype=np.uint8)
     arr[10:30, 5:35] = 0
     (c,) = trace_contours(GreyImage(arr))
-    qc = extract_quad_corners(c)
+    qc = extract_quad_corners(c, blank(40, 40))
     x = qc.corners[:, 0]
     y = qc.corners[:, 1]
     shoelace = np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "floortag"
-SETTABLE_VALUES = 61
+SETTABLE_VALUES = 60
 
 
 def _is_dataclass_decorator(node: ast.expr) -> bool:
