@@ -141,7 +141,8 @@ def _cmd_identify(args) -> int:
     bank = ReferenceBank.build(wmap, intr)
     img = load_pgm(args.image)
     cfg = PipelineConfig()
-    corners = extract_corners(img, cfg.min_contour_area)
+    # The outline is traced over the whole image, so every edge is the frame's border.
+    corners = extract_corners(img, cfg.min_contour_area, (True, True, True, True))
     if corners is None:
         print("error: no sticker outline found", file=sys.stderr)
         return 1

@@ -3,9 +3,8 @@
 Detection follows ORB: FAST-9 corners with 3x3 non-maximal suppression,
 Harris re-ranking, an intensity-centroid orientation over a radius-15 disc,
 and descriptor bits that compare smoothed intensities over a fixed random
-test pattern rotated to the keypoint angle. Harris re-ranks every corner only
-when there are more than max_features; below the cap it only orders corners
-whose FAST scores are equal, so it is computed at those corners alone.
+test pattern rotated to the keypoint angle. The max_features corners with the
+highest Harris response are kept, and Harris also orders equal FAST scores.
 
 Detection costs what is textured, not what is in the frame:
 
@@ -378,9 +377,7 @@ def detect_and_describe(
 
     Keeps the max_features FAST corners with the highest Harris response and
     returns them strongest FAST score first, equal scores by Harris response,
-    then in row-major order. When no more than max_features corners are found,
-    Harris only orders equal scores, so it is computed only at the corners
-    whose score another corner shares.
+    then in row-major order.
     """
     if max_features < 1:
         raise ValueError(f"max_features must be at least 1, got {max_features}")
@@ -400,14 +397,7 @@ def detect_and_describe(
     if len(pts) == 0:
         return FeatureSet(pts, np.empty((0, DESCRIPTOR_BYTES), dtype=np.uint8))
     xs, ys = pts[:, 0], pts[:, 1]
-    # Harris decides a corner's place only when the cap cuts or its FAST score
-    # is shared: a unique score alone fixes its place in the final stable sort.
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    need = (counts[inverse] > 1) | (len(pts) > max_features)
-    harris = np.zeros(len(pts), dtype=np.int64)
-    if need.any():
-        harris[need] = _harris_at(img.pixels, xs[need], ys[need])
-    order = np.argsort(-harris, kind="stable")[:max_features]
+    order = np.argsort(-_harris_at(img.pixels, xs, ys), kind="stable")[:max_features]
     xs, ys, scores = xs[order], ys[order], scores[order]
     angles = _orientations(img.pixels, xs, ys)
     sums, cols, rows = _box_sums(img.pixels, xs, ys)

@@ -441,8 +441,11 @@ def refine_pose(intr: CameraIntrinsics, pose0: Pose, world_points, pixels) -> Re
             if np.linalg.norm(delta) < REFINE_STEP_TOL:
                 return RefineResult(pose, np.sqrt(cost / n), iterations, True)
             candidate = apply_pose_update(pose, delta)
-            r_new = reprojection_residuals(intr, candidate, pts, pix)
-            cost_new = float(r_new @ r_new)
+            try:
+                r_new = reprojection_residuals(intr, candidate, pts, pix)
+                cost_new = float(r_new @ r_new)
+            except BehindCameraError:
+                cost_new = np.inf  # a point at or behind the camera rejects the step
             if cost_new <= cost:
                 pose, r, cost = candidate, r_new, cost_new
                 lam = max(lam * 0.3, 1e-12)

@@ -143,12 +143,24 @@ class _StageClock:
         self._last = now
 
 
-def extract_corners(crop: GreyImage, min_area: float) -> QuadCorners | None:
-    """Corners of the first of the three largest outlines that is a quad, if any."""
+def extract_corners(
+    crop: GreyImage, min_area: float, border: tuple[bool, bool, bool, bool]
+) -> QuadCorners | None:
+    """Corners of the first of the three largest outlines that is a quad, if any.
+
+    border says which crop edges, (left, top, right, bottom), lie on the
+    frame's border. An outline with a point on one of them belongs to a
+    sticker the frame cuts, and is skipped: its quad is no sticker outline.
+    """
     binary = binarize(crop, MeanOffset(31, 10))
     for contour in trace_contours(binary)[:3]:
         if contour.area() < min_area:
             break
+        x, y = contour.points.T
+        touches = (x.min() == 0, y.min() == 0, x.max() == crop.width - 1,
+                   y.max() == crop.height - 1)
+        if any(cut and touch for cut, touch in zip(border, touches)):
+            continue
         try:
             return extract_quad_corners(contour, crop)
         except NotAQuadError:
@@ -237,10 +249,9 @@ def _pose_from_quad(
     ordered = np.array([world[(j + turns) % 4] for j in range(4)])
     try:
         h = homography_dlt(ordered[:, :2], frame_corners)
-        pose0 = pose_from_homography(intr, h)
-    except ValueError:
+        result = refine_pose(intr, pose_from_homography(intr, h), ordered, frame_corners)
+    except ValueError:  # BehindCameraError too: the start pose may put a corner behind the camera
         return None
-    result = refine_pose(intr, pose0, ordered, frame_corners)
     if result.rms > max_rms:
         return None
     position = camera_world_position(result.pose)
@@ -298,7 +309,8 @@ def process_frame(
         crop = img.crop(roi.x0, roi.y0, roi.x1 + 1, roi.y1 + 1)
         if crop.width < 40 or crop.height < 40:
             continue
-        corners = extract_corners(crop, cfg.min_contour_area)
+        border = (roi.x0 == 0, roi.y0 == 0, roi.x1 == intr.width - 1, roi.y1 == intr.height - 1)
+        corners = extract_corners(crop, cfg.min_contour_area, border)
         if corners is not None:
             observations.append(Observation(roi, crop, corners, None, 0, None))
     clock.lap("quad")

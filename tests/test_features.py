@@ -389,38 +389,34 @@ def level_images(draw):
 def test_tied_scores_match_oracle_around_the_cap(img, threshold, below):
     # Few grey levels make many corners score the same, so Harris decides
     # their order; the cap below, at and above the corner count decides
-    # whether it ranks every corner or only the tied ones.
+    # whether Harris also picks the corners kept.
     corners = len(oracle_candidates(img, threshold)[0])
     for max_features in {max(1, corners - below), max(1, corners), corners + below}:
         assert_matches_oracle(img, max_features, threshold)
 
 
-def _corners_given_to_harris(img: GreyImage, max_features: int) -> set:
-    seen = []
+def _harris_calls(img: GreyImage, max_features: int) -> list:
+    calls = []
     real = features._harris_at
 
     def spy(px, xs, ys):
-        seen.extend(zip(xs.tolist(), ys.tolist()))
+        calls.append(list(zip(xs.tolist(), ys.tolist())))
         return real(px, xs, ys)
 
     with mock.patch.object(features, "_harris_at", spy):
         detect_and_describe(img, max_features=max_features, threshold=20.0)
-    assert len(seen) == len(set(seen))
-    return set(seen)
+    return calls
 
 
-def test_harris_runs_only_where_it_decides_the_order(scene_renders):
+def test_harris_runs_once_at_every_corner(scene_renders):
     img = scene_renders["sharp"]
-    pts, scores, _ = oracle_candidates(img, 20.0)
-    values, counts = np.unique(scores, return_counts=True)
-    tied = np.isin(scores, values[counts > 1])
-    every = {tuple(p) for p in pts.tolist()}
-    assert 0 < tied.sum() < len(pts) < 2500
-    # Below the cap a unique FAST score fixes a corner's place by itself.
-    got = _corners_given_to_harris(img, 2500)
-    assert got == {tuple(p) for p in pts[tied].tolist()}
-    # When the cap cuts, Harris ranks every corner.
-    assert _corners_given_to_harris(img, len(pts) - 1) == every
+    pts = oracle_candidates(img, 20.0)[0]
+    every = sorted(map(tuple, pts.tolist()))
+    assert 0 < len(pts) < 2500
+    # One call ranks every corner inside the margin, whether or not the cap cuts.
+    for max_features in (len(pts) - 1, len(pts), len(pts) + 1, 2500):
+        (got,) = _harris_calls(img, max_features)
+        assert sorted(got) == every
     for max_features in (len(pts) - 1, len(pts), len(pts) + 1):
         assert_matches_oracle(img, max_features, 20.0)
 

@@ -284,6 +284,23 @@ def test_refine_stops_at_a_converged_step_without_applying_it(monkeypatch):
     assert total_updates <= total_iterations
 
 
+def test_refine_rejects_a_step_that_puts_a_point_behind_the_camera():
+    # A noisy quad from the pipeline's camera whose damped steps reach a pose
+    # with a sticker corner behind the camera plane; refining still lowers
+    # the RMS, and the pose keeps every corner in front.
+    intr = CameraIntrinsics.reference_camera(binning=2)
+    world = np.array([[0.05, 1.95, 0.0], [-0.05, 1.95, 0.0], [-0.05, 2.05, 0.0], [0.05, 2.05, 0.0]])
+    pixels = np.array([
+        [602.3840537486577, 385.0786907489427], [696.7934063813433, 416.33471399640285],
+        [659.0733610604566, 500.1562883483169], [581.1633326113388, 467.6459656730184],
+    ])
+    p0 = pose_from_homography(intr, homography_dlt(world[:, :2], pixels))
+    rms0 = np.sqrt(np.mean(reprojection_residuals(intr, p0, world, pixels) ** 2))
+    result = refine_pose(intr, p0, world, pixels)
+    assert result.rms < rms0
+    assert np.all((world @ result.pose.rotation.T + result.pose.translation)[:, 2] > 0)
+
+
 def test_jacobian_matches_finite_differences():
     intr = CameraIntrinsics.reference_camera()
     rng = np.random.default_rng(23)

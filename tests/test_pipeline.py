@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from floortag.bench import sample_camera_pose
-from floortag.geometry import CameraIntrinsics, camera_world_position, downward_camera_pose
+from floortag.geometry import (
+    CameraIntrinsics, camera_world_position, downward_camera_pose, project_many,
+)
 from floortag import artwork, pipeline
 from floortag.features import MatchSet
 from floortag.identify import IdentificationResult, ReferenceBank
@@ -234,15 +236,16 @@ def _edge_frame(wmap, cam, spin):
 
 @pytest.mark.parametrize("cam, spin", [((1.52, 1.0, 1.0), 0.0), ((1.0, 1.59, 1.0), 0.6)])
 def test_identification_crops_stay_inside_the_roi_at_the_frame_edge(wmap, bank, monkeypatch, cam, spin):
-    # No sticker reads in these frames: at (1.52, 1, 1) the only outline's
-    # crop is 17-18 px wide, and at (1, 1.59, 1) the sticker is cut by the
-    # frame edge (its first traced quad, ~1e5 px outside, is dropped).
+    # No sticker reads in these frames, and in both the largest outline runs
+    # along the frame's border and is skipped: at (1.52, 1, 1) an inner
+    # outline's 102x75 px crop is identified, and at (1, 1.59, 1) the next
+    # outline's.
     rois, crops = [], []
     real_extract, real_identify = pipeline.extract_corners, pipeline.identify_crop
 
-    def extract(crop, min_area):
+    def extract(crop, *args):
         rois.append(crop)
-        return real_extract(crop, min_area)
+        return real_extract(crop, *args)
 
     def identify(crop, *args):
         crops.append(crop)
@@ -275,32 +278,136 @@ def _spy_on_quads(monkeypatch):
     return kept, dropped
 
 
+def _spy_on_outlines(monkeypatch):
+    """Lists that fill with each crop's traced outlines and the outlines extract_quad_corners gets."""
+    traced, tried = [], []
+    real_trace, real_extract = pipeline.trace_contours, pipeline.extract_quad_corners
+
+    def trace(binary):
+        traced.append(real_trace(binary))
+        return traced[-1]
+
+    def extract(contour, crop):
+        tried.append(contour)
+        return real_extract(contour, crop)
+
+    monkeypatch.setattr(pipeline, "trace_contours", trace)
+    monkeypatch.setattr(pipeline, "extract_quad_corners", extract)
+    return traced, tried
+
+
+def _on_top_row(contour):
+    return int(np.count_nonzero(contour.points[:, 1] == 0))
+
+
 def test_quads_far_outside_their_crop_are_dropped_at_the_frame_edge(wmap, bank, monkeypatch):
-    # At (1, 1.59, 1) the partial outline's fitted edges are nearly parallel
-    # and meet far from the crop; that quad is dropped, the next outline is
+    # At (1, 1.59, 1) the largest outline runs 28 px along the crop's top
+    # row, the frame's top border: its fitted edges would meet far outside
+    # the crop. It is skipped before any quad is fitted, the next outline is
     # tried, and the frame still reads nothing.
     kept, dropped = _spy_on_quads(monkeypatch)
+    traced, tried = _spy_on_outlines(monkeypatch)
     result, _ = process_frame(_edge_frame(wmap, (1.0, 1.59, 1.0), 0.6), wmap, INTR, bank,
                               timestamp=0.0)
     assert result.outcome == OUTCOME_DETECTED_UNREAD
-    assert "corner far outside the crop" in dropped
-    assert kept
+    (outlines,) = traced
+    assert _on_top_row(outlines[0]) == 28
+    assert all(c is not outlines[0] for c in tried)
+    assert tried and dropped == [] and kept
     for corners, w, h in kept:
         assert np.all((corners >= (-w, -h)) & (corners <= (2 * w, 2 * h)))
 
 
 def test_self_crossing_quads_never_reach_identification(wmap, bank, monkeypatch):
-    # At (1, 1.58, 1) the first outline's corners lie ~1e5 px outside its
-    # 297x157 crop, and the next ones give quads whose edges cross, such as
-    # (132.0, 0.9), (191.8, 32.0), (187.4, 12.3), (155.2, 35.0).
+    # At (1, 1.58, 1) the two largest outlines run along the crop's top row,
+    # the frame's top border, and are skipped; the third gives a quad whose
+    # edges cross.
     kept, dropped = _spy_on_quads(monkeypatch)
+    traced, tried = _spy_on_outlines(monkeypatch)
     identified = []
     monkeypatch.setattr(pipeline, "identify_crop", lambda *args: identified.append(args))
     result, _ = process_frame(_edge_frame(wmap, (1.0, 1.58, 1.0), 0.6), wmap, INTR, bank,
                               timestamp=0.0)
     assert result.outcome == OUTCOME_DETECTED_UNREAD
-    assert "corner far outside the crop" in dropped and "quad not convex" in dropped
+    (outlines,) = traced
+    assert [_on_top_row(c) for c in outlines[:3]] == [28, 32, 0]
+    assert len(tried) == 1 and tried[0] is outlines[2]
+    assert dropped == ["quad not convex"]
     assert kept == [] and identified == []
+
+
+def test_outlines_are_skipped_only_on_crop_edges_at_the_frame_border():
+    # A dark square frame that touches the crop's left edge: a sticker cut by
+    # the frame when that edge is the frame's border, a whole one otherwise.
+    px = np.full((80, 80), 200, dtype=np.uint8)
+    px[20:60, 0:40] = 20
+    px[26:54, 6:34] = 200
+    crop = GreyImage(px)
+    assert pipeline.extract_corners(crop, 400.0, (True, False, False, False)) is None
+    for border in [(False, False, False, False), (False, True, True, True)]:
+        quad = pipeline.extract_corners(crop, 400.0, border)
+        assert quad is not None and quad.corners[:, 0].min() == 0.0
+
+
+def test_a_sticker_cut_by_the_frame_border_is_not_posed(wmap, bank):
+    # At (1.46, 1, 1) sticker 5's outline runs 129 px along the frame's left
+    # border; posed from that outline, the camera came out 124 mm off.
+    result, state = process_frame(_edge_frame(wmap, (1.46, 1.0, 1.0), 0.0), wmap, INTR, bank,
+                                  timestamp=0.0)
+    assert result.outcome == OUTCOME_DETECTED_UNREAD
+    assert result.position is None and result.pose is None
+    assert state == TrackerState()
+
+
+def test_a_sharp_sweep_past_the_frame_border_localises_only_close_to_the_truth(wmap, bank):
+    # Camera 1 m high, 0.40-0.64 m off sticker 5 along x or y: stickers enter
+    # and leave the frame. Decoded frames stay decoded, and no frame is
+    # localised more than 100 mm off.
+    target = wmap.get(5)
+    decoded = 0
+    for axis in (0, 1):
+        for offset in np.arange(0.40, 0.641, 0.04):
+            for spin in (0.0, 0.6):
+                cam = np.array([target.world_x, target.world_y, 1.0])
+                cam[axis] += offset
+                pose = downward_camera_pose(tuple(cam), spin=spin)
+                img, _ = render(wmap, INTR, pose, RenderConfig(seed=1))
+                result, _ = process_frame(img, wmap, INTR, bank, timestamp=0.0)
+                if result.position is not None:
+                    assert np.linalg.norm(result.position - camera_world_position(pose)) < 0.100
+                decoded += result.method == "decoded"
+    assert decoded == 13
+
+
+_BEHIND_CAMERA_QUAD = np.array([
+    [602.3840537486577, 385.0786907489427], [696.7934063813433, 416.33471399640285],
+    [659.0733610604566, 500.1562883483169], [581.1633326113388, 467.6459656730184],
+])
+
+
+def test_a_pose_step_behind_the_camera_gives_no_pose(wmap):
+    # Refining this quad tries a step that puts a sticker corner behind the
+    # camera; the step is rejected, and the refined pose misses the 3 px bound.
+    assert pipeline._pose_from_quad(INTR, wmap.get(7), _BEHIND_CAMERA_QUAD, 2, 3.0) is None
+
+
+def test_noisy_quads_never_raise(wmap):
+    # Projected sticker corners with the noise of blurred outlines (3-8 px).
+    rng = np.random.default_rng(3)
+    posed = 0
+    for _ in range(200):
+        sticker = wmap.get(int(rng.integers(1, 10)))
+        offset = rng.uniform(-0.6, 0.6, size=2)
+        pose = downward_camera_pose(
+            (sticker.world_x + offset[0], sticker.world_y + offset[1], 1.0),
+            spin=rng.uniform(0, 2 * np.pi),
+        )
+        turns = int(rng.integers(0, 4))
+        pixels = project_many(INTR, pose, sticker.corners_world())
+        noise = rng.normal(0, rng.choice([3.0, 5.0, 8.0]), (4, 2))
+        corners = np.roll(pixels, -turns, axis=0) + noise
+        posed += pipeline._pose_from_quad(INTR, sticker, corners, turns, 3.0) is not None
+    assert posed > 0
 
 
 # Several stickers in view: a 3x3 map at 0.5 m pitch seen from 1 m straight

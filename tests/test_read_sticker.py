@@ -145,8 +145,8 @@ def _pipeline_rois(img, wmap, intr, bank):
     rois = []
     real = pipeline.extract_corners
 
-    def recording(crop, min_area):
-        corners = real(crop, min_area)
+    def recording(crop, *args):
+        corners = real(crop, *args)
         if corners is not None:
             rois.append((crop, corners))
         return corners
